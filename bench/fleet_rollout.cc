@@ -15,7 +15,8 @@
 // AND across `--threads` values: nodes are stepped in parallel within each
 // epoch, but every node owns its clock/Rng/observability, so thread count
 // cannot change what the simulation computes. Host-dependent numbers (wall
-// clock, thread count) go to the separate `--perf-json <path>` sidecar.
+// clock, thread count, peak RSS) go to the separate `--perf-json <path>`
+// sidecar.
 //
 // `--scenario <name>` swaps the offered load while the rollout machinery
 // stays fixed: `baseline` (default, byte-identical to the historical
@@ -31,6 +32,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -160,6 +162,19 @@ int RunAutopilot(int argc, char** argv, int threads) {
               shape_ok ? "PASS" : "SHAPE MISMATCH");
   return 0;
 }
+
+// The process's peak resident set (VmHWM) in MB; 0 where /proc is absent.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -466,6 +481,7 @@ int main(int argc, char** argv) {
     perf.Config("hw_cores", static_cast<int64_t>(std::thread::hardware_concurrency()));
     perf.Metric("wall_ms", wall_ms);
     perf.Metric("sim_ms", sim::ToSeconds(cluster.Now()) * 1e3);
+    perf.Metric("peak_rss_mb", PeakRssMb());
     if (!perf.Write()) {
       return 1;
     }

@@ -7,7 +7,7 @@
 namespace taichi::fleet {
 
 SloMonitor::SloMonitor(Cluster* cluster, SloConfig config)
-    : cluster_(cluster), config_(std::move(config)), cursor_(cluster->size(), 0) {
+    : cluster_(cluster), config_(std::move(config)), consumed_(cluster->size()) {
   if (config_.percentile < 0 || config_.percentile > 100) {
     TAICHI_ERROR(0, "slo: percentile %.1f out of range, using p99", config_.percentile);
     config_.percentile = 99.0;
@@ -15,7 +15,7 @@ SloMonitor::SloMonitor(Cluster* cluster, SloConfig config)
 }
 
 SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset, bool windowed,
-                                        std::vector<size_t>* cursors) const {
+                                        std::vector<Consumed>* consumed) const {
   Report report;
   report.at = cluster_->Now();
   report.nodes.resize(cluster_->size());
@@ -34,33 +34,40 @@ SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset, bool win
     if (metric == nullptr) {
       continue;
     }
-    const std::vector<double>& samples = metric->samples();
-    size_t begin = windowed ? (*cursors)[i] : 0;
-    if (begin > samples.size()) {
-      // The node's summary was cleared/re-registered; restart the window.
-      begin = 0;
-    }
-    sim::Summary window;
-    for (size_t s = begin; s < samples.size(); ++s) {
-      window.Add(samples[s]);
+    const sim::Summary* window = metric;
+    sim::Summary delta;
+    if (windowed) {
+      Consumed& seen = (*consumed)[i];
+      // A rebooted node registers a fresh summary, and so does a re-registered
+      // metric: what was consumed from the old one says nothing about the new
+      // one, so its window restarts at its first sample.
+      const uint32_t incarnation = cluster_->incarnation(i);
+      if (seen.incarnation != incarnation || !metric->Covers(seen.counts)) {
+        seen.counts.clear();
+      }
+      if (!seen.counts.empty()) {
+        delta = metric->Since(seen.counts);
+        window = &delta;
+      }
+      // Only the evaluated subset consumes its window. A node outside the
+      // subset keeps its snapshot, so a later Observe() over a different
+      // subset still sees every sample that arrived in between instead of
+      // silently dropping them.
       if (in_subset[i]) {
-        fleet.Add(samples[s]);
+        seen.incarnation = incarnation;
+        seen.counts = metric->Counts();
       }
     }
-    // Only the evaluated subset consumes its window. A node outside the
-    // subset keeps its cursor, so a later Observe() over a different subset
-    // still sees every sample that arrived in between instead of silently
-    // dropping them.
-    if (windowed && in_subset[i]) {
-      (*cursors)[i] = samples.size();
+    if (in_subset[i]) {
+      fleet.Merge(*window);
     }
-    stat.samples = window.count();
-    if (!window.empty()) {
-      stat.value = window.Percentile(config_.percentile);
+    stat.samples = window->count();
+    if (!window->empty()) {
+      stat.value = window->Percentile(config_.percentile);
       stat.breach = stat.value > config_.threshold;
     }
     if (in_subset[i]) {
-      report.total_samples += window.count();
+      report.total_samples += window->count();
     }
   }
 
@@ -111,7 +118,7 @@ void SloMonitor::AttributeHeavyFlows(Report* report) const {
 }
 
 SloMonitor::Report SloMonitor::Observe(const std::vector<int>& subset) {
-  last_ = Evaluate(subset, /*windowed=*/true, &cursor_);
+  last_ = Evaluate(subset, /*windowed=*/true, &consumed_);
   return last_;
 }
 

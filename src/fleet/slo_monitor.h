@@ -74,7 +74,7 @@ class SloMonitor {
 
   // Evaluates the window since the previous Observe() (first call: since the
   // start of the run) and advances the window — but only for the evaluated
-  // nodes: a node outside `subset` keeps its cursor so no sample is ever
+  // nodes: a node outside `subset` keeps its snapshot so no sample is ever
   // skipped by an Observe() that wasn't looking at it. The fleet aggregate
   // covers `subset` node ids when given, all nodes otherwise; per-node stats
   // are always computed for every node (over its current, unconsumed window).
@@ -102,13 +102,21 @@ class SloMonitor {
   int CoolestTarget(const Placer& placer, const WorkloadSpec& unit, int exclude) const;
 
  private:
+  // What Observe() has consumed from one node's metric: the node's boot
+  // count and the multiset of samples seen. The next window is the metric
+  // minus this snapshot.
+  struct Consumed {
+    uint32_t incarnation = 0;
+    std::vector<sim::Summary::ValueCount> counts;
+  };
+
   Report Evaluate(const std::vector<int>& subset, bool windowed,
-                  std::vector<size_t>* cursors) const;
+                  std::vector<Consumed>* consumed) const;
   void AttributeHeavyFlows(Report* report) const;
 
   Cluster* cluster_;
   SloConfig config_;
-  std::vector<size_t> cursor_;  // Per-node samples already consumed.
+  std::vector<Consumed> consumed_;  // Per node.
   Report last_;
 };
 

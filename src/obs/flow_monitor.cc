@@ -25,10 +25,8 @@ FlowMonitor::FlowMonitor(const FlowMonitorConfig& config)
     : cms_(CmsConfig(config)), hll_(HllConfig(config)), topk_(TopkConfig(config)) {}
 
 void FlowMonitor::OnPacket(const FlowKey& key, uint32_t bytes) {
-  const sketch::HashPair h = sketch::HashKey(key, cms_.seed());
-  cms_.Update(h, bytes);
-  const sketch::CountMinSketch::Estimate est = cms_.Query(h);
-  topk_.Update(key, h, bytes, est.bytes, est.packets);
+  const sketch::CountMinSketch::Estimate est = cms_.Update(cms_.Hash(key), bytes);
+  topk_.Update(key, bytes, est.bytes, est.packets);
   hll_.Observe(key);
 }
 

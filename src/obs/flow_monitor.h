@@ -43,9 +43,8 @@ class FlowMonitor {
   explicit FlowMonitor(const FlowMonitorConfig& config);
 
   // Records one packet. O(cms_depth + log topk_capacity), allocation-free:
-  // the flow key is hashed once and the pair reused across the count-min
-  // update, the point query feeding the heavy-hitter filter, and the table
-  // update itself.
+  // the count-min update returns the flow's post-update estimate, which is
+  // what feeds the heavy-hitter filter, so no separate point query runs.
   void OnPacket(const FlowKey& key, uint32_t bytes);
 
   // Estimators.

@@ -225,9 +225,7 @@ sim::Summary MergeSummaries(const std::vector<const sim::Summary*>& parts) {
     if (part == nullptr) {
       continue;
     }
-    for (double sample : part->samples()) {
-      merged.Add(sample);
-    }
+    merged.Merge(*part);
   }
   return merged;
 }

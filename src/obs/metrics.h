@@ -108,9 +108,10 @@ class MetricsRegistry {
 
 // --- Fleet aggregation -------------------------------------------------------
 
-// Merges the raw samples of several per-node summaries into one summary, so
-// fleet-level percentiles are exact order statistics over the union rather
-// than an approximation from per-node percentiles. Null entries are skipped.
+// Count-merges several per-node summaries into one, so fleet-level
+// percentiles are exact order statistics over the union rather than an
+// approximation from per-node percentiles. Null entries are skipped. The
+// merged sum/mean add per part (see Summary::Merge).
 sim::Summary MergeSummaries(const std::vector<const sim::Summary*>& parts);
 
 }  // namespace taichi::obs

@@ -20,7 +20,8 @@ uint32_t RoundUpPow2(uint32_t v) {
 
 }  // namespace
 
-CountMinSketch::CountMinSketch(CountMinConfig config) : config_(config) {
+CountMinSketch::CountMinSketch(CountMinConfig config)
+    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0xc35)) {
   if (config_.width < 2) {
     TAICHI_ERROR(0, "cms: width %u is degenerate, clamping to 2", config_.width);
     config_.width = 2;
@@ -29,13 +30,12 @@ CountMinSketch::CountMinSketch(CountMinConfig config) : config_(config) {
     TAICHI_ERROR(0, "cms: depth %u is degenerate, clamping to 1", config_.depth);
     config_.depth = 1;
   }
-  seed_ = DeriveSeed(config_.seed, /*tag=*/0xc35);
   width_ = RoundUpPow2(config_.width);
   mask_ = width_ - 1;
   cells_.resize(static_cast<size_t>(width_) * config_.depth);
 }
 
-void CountMinSketch::Update(const HashPair& h, uint32_t bytes) {
+CountMinSketch::Estimate CountMinSketch::Update(const HashPair& h, uint32_t bytes) {
   // Conservative update: read the current minima, then raise only the cells
   // that sit at (or below) minimum + increment. Cells inflated by other
   // flows are left alone, which is what keeps the overestimate small.
@@ -55,6 +55,9 @@ void CountMinSketch::Update(const HashPair& h, uint32_t bytes) {
   }
   ++total_packets_;
   total_bytes_ += bytes;
+  // Every row now holds at least the targets and the minimal row holds them
+  // exactly, so they are the new point-query answer.
+  return {target_packets, target_bytes};
 }
 
 CountMinSketch::Estimate CountMinSketch::Query(const HashPair& h) const {

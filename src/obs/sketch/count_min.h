@@ -46,12 +46,15 @@ class CountMinSketch {
   explicit CountMinSketch(CountMinConfig config);
 
   // Counts one packet of `bytes` for `key`. O(depth), allocation-free.
-  void Update(const FlowKey& key, uint32_t bytes) { Update(HashKey(key, seed_), bytes); }
+  // Returns the flow's post-update estimate: after a conservative update that
+  // is exactly (min + 1, min + bytes) over the rows' pre-update minima, so
+  // callers need no follow-up Query().
+  Estimate Update(const FlowKey& key, uint32_t bytes) { return Update(hash_(key), bytes); }
   // Hash-reuse variant for callers that already computed the key's pair.
-  void Update(const HashPair& h, uint32_t bytes);
+  Estimate Update(const HashPair& h, uint32_t bytes);
 
   // Point query: an upper bound on the flow's true packet/byte counts.
-  Estimate Query(const FlowKey& key) const { return Query(HashKey(key, seed_)); }
+  Estimate Query(const FlowKey& key) const { return Query(hash_(key)); }
   Estimate Query(const HashPair& h) const;
 
   // Cell-wise addition. `other` must share (seed, width, depth); on mismatch
@@ -67,10 +70,12 @@ class CountMinSketch {
   double epsilon() const;
   uint32_t width() const { return width_; }
   uint32_t depth() const { return config_.depth; }
-  uint64_t seed() const { return seed_; }
+  uint64_t seed() const { return hash_.seed(); }
+  // The key hash this sketch indexes by (KeyHasher under seed()).
+  HashPair Hash(const FlowKey& key) const { return hash_(key); }
 
   bool Compatible(const CountMinSketch& other) const {
-    return seed_ == other.seed_ && width_ == other.width_ &&
+    return seed() == other.seed() && width_ == other.width_ &&
            config_.depth == other.config_.depth;
   }
 
@@ -89,7 +94,7 @@ class CountMinSketch {
   }
 
   CountMinConfig config_;
-  uint64_t seed_;
+  KeyHasher hash_;
   uint32_t width_;   // Power of two.
   uint64_t mask_;    // width_ - 1.
   std::vector<Cell> cells_;  // depth rows of width cells, row-major.

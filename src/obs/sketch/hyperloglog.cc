@@ -9,12 +9,12 @@
 
 namespace taichi::obs::sketch {
 
-HyperLogLog::HyperLogLog(HyperLogLogConfig config) : config_(config) {
+HyperLogLog::HyperLogLog(HyperLogLogConfig config)
+    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0x411)) {
   if (config_.precision < 4 || config_.precision > 18) {
     TAICHI_ERROR(0, "hll: precision %u out of [4, 18], clamping", config_.precision);
     config_.precision = std::clamp<uint32_t>(config_.precision, 4, 18);
   }
-  seed_ = DeriveSeed(config_.seed, /*tag=*/0x411);
   registers_.resize(size_t{1} << config_.precision, 0);
 }
 

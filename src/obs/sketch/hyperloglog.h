@@ -30,7 +30,7 @@ class HyperLogLog {
 
   // Observes one flow key. O(1), allocation-free; re-observing a key is a
   // no-op by construction.
-  void Observe(const FlowKey& key) { Observe(HashKey(key, seed_)); }
+  void Observe(const FlowKey& key) { Observe(hash_(key)); }
   void Observe(const HashPair& h);
 
   // The distinct-count estimate with small-range linear counting correction.
@@ -44,9 +44,9 @@ class HyperLogLog {
   bool Merge(const HyperLogLog& other);
 
   uint32_t precision() const { return config_.precision; }
-  uint64_t seed() const { return seed_; }
+  uint64_t seed() const { return hash_.seed(); }
   bool Compatible(const HyperLogLog& other) const {
-    return seed_ == other.seed_ && config_.precision == other.config_.precision;
+    return seed() == other.seed() && config_.precision == other.config_.precision;
   }
 
   // Deterministic JSON: precision, estimate, error bound.
@@ -54,7 +54,7 @@ class HyperLogLog {
 
  private:
   HyperLogLogConfig config_;
-  uint64_t seed_;
+  KeyHasher hash_;
   std::vector<uint8_t> registers_;  // 2^precision entries.
 };
 

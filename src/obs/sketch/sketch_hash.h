@@ -28,11 +28,25 @@ struct HashPair {
   uint64_t h2;
 };
 
-inline HashPair HashKey(const FlowKey& key, uint64_t seed) {
-  const uint64_t a = Mix64(key.PackHi() ^ seed);
-  const uint64_t b = Mix64(key.PackLo() ^ Mix64(seed ^ 0xd6e8feb86659fd93ULL) ^ a);
-  return {a, b | 1};  // Odd h2: h1 + i*h2 never collapses across rows.
-}
+// The pair for any key under one fixed seed. The seed's own mix is computed
+// once at construction instead of on every key; each sketch holds one.
+class KeyHasher {
+ public:
+  explicit KeyHasher(uint64_t seed)
+      : seed_(seed), seed_mix_(Mix64(seed ^ 0xd6e8feb86659fd93ULL)) {}
+
+  HashPair operator()(const FlowKey& key) const {
+    const uint64_t a = Mix64(key.PackHi() ^ seed_);
+    const uint64_t b = Mix64(key.PackLo() ^ seed_mix_ ^ a);
+    return {a, b | 1};  // Odd h2: h1 + i*h2 never collapses across rows.
+  }
+
+  uint64_t seed() const { return seed_; }
+
+ private:
+  uint64_t seed_;
+  uint64_t seed_mix_;
+};
 
 // Derives a stable sub-seed for sketch component `tag` from a base seed —
 // the "sim::Rng-derived keys" pattern: one user-visible seed fans out into

@@ -26,14 +26,15 @@ bool ReportGreater(const SpaceSaving::Entry& a, const SpaceSaving::Entry& b) {
 
 }  // namespace
 
-SpaceSaving::SpaceSaving(SpaceSavingConfig config) : config_(config) {
+SpaceSaving::SpaceSaving(SpaceSavingConfig config)
+    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0x707)) {
   if (config_.capacity < 1) {
     TAICHI_ERROR(0, "space_saving: capacity %u is degenerate, clamping to 1",
                  config_.capacity);
     config_.capacity = 1;
   }
-  seed_ = DeriveSeed(config_.seed, /*tag=*/0x707);
   entries_.resize(config_.capacity);
+  slot_of_.resize(config_.capacity);
   // 4x slack keeps linear probes short at full occupancy.
   const uint64_t slots = RoundUpPow2(uint64_t{4} * config_.capacity);
   index_keys_.resize(slots);
@@ -49,37 +50,30 @@ bool SpaceSaving::HeapLess(const Entry& a, const Entry& b) const {
 }
 
 size_t SpaceSaving::IndexSlot(const FlowKey& key) const {
-  return static_cast<size_t>(HashKey(key, seed_).h2 & index_mask_);
+  return static_cast<size_t>(hash_(key).h2 & index_mask_);
 }
 
-uint32_t* SpaceSaving::IndexFind(const FlowKey& key) {
-  size_t slot = IndexSlot(key);
-  while (index_pos_[slot] != kEmpty) {
-    if (index_keys_[slot] == key) {
-      return &index_pos_[slot];
-    }
-    slot = (slot + 1) & index_mask_;
-  }
-  return nullptr;
-}
-
-void SpaceSaving::IndexInsert(const FlowKey& key, uint32_t pos) {
-  size_t slot = IndexSlot(key);
-  while (index_pos_[slot] != kEmpty) {
-    slot = (slot + 1) & index_mask_;
-  }
-  index_keys_[slot] = key;
-  index_pos_[slot] = pos;
-}
-
-void SpaceSaving::IndexErase(const FlowKey& key) {
-  size_t slot = IndexSlot(key);
+size_t SpaceSaving::Probe(const FlowKey& key, size_t ideal) const {
+  size_t slot = ideal;
   while (index_pos_[slot] != kEmpty && !(index_keys_[slot] == key)) {
     slot = (slot + 1) & index_mask_;
   }
-  if (index_pos_[slot] == kEmpty) {
-    return;  // Not present (cannot happen for live entries).
-  }
+  return slot;
+}
+
+void SpaceSaving::Place(size_t pos, size_t slot) {
+  index_pos_[slot] = static_cast<uint32_t>(pos);
+  slot_of_[pos] = static_cast<uint32_t>(slot);
+}
+
+void SpaceSaving::Swap(size_t a, size_t b) {
+  std::swap(entries_[a], entries_[b]);
+  std::swap(slot_of_[a], slot_of_[b]);
+  index_pos_[slot_of_[a]] = static_cast<uint32_t>(a);
+  index_pos_[slot_of_[b]] = static_cast<uint32_t>(b);
+}
+
+void SpaceSaving::IndexErase(size_t slot) {
   // Backward-shift deletion keeps probe chains unbroken without tombstones.
   size_t hole = slot;
   index_pos_[hole] = kEmpty;
@@ -96,7 +90,7 @@ void SpaceSaving::IndexErase(const FlowKey& key) {
                                  : (ideal > hole || ideal <= j);
     if (!stays) {
       index_keys_[hole] = index_keys_[j];
-      index_pos_[hole] = index_pos_[j];
+      Place(index_pos_[j], hole);
       index_pos_[j] = kEmpty;
       hole = j;
     }
@@ -109,9 +103,7 @@ void SpaceSaving::SiftUp(size_t pos) {
     if (!HeapLess(entries_[pos], entries_[parent])) {
       break;
     }
-    std::swap(entries_[pos], entries_[parent]);
-    *IndexFind(entries_[pos].key) = static_cast<uint32_t>(pos);
-    *IndexFind(entries_[parent].key) = static_cast<uint32_t>(parent);
+    Swap(pos, parent);
     pos = parent;
   }
 }
@@ -130,26 +122,28 @@ void SpaceSaving::SiftDown(size_t pos) {
     if (!HeapLess(entries_[best], entries_[pos])) {
       break;
     }
-    std::swap(entries_[pos], entries_[best]);
-    *IndexFind(entries_[pos].key) = static_cast<uint32_t>(pos);
-    *IndexFind(entries_[best].key) = static_cast<uint32_t>(best);
+    Swap(pos, best);
     pos = best;
   }
 }
 
-void SpaceSaving::Update(const FlowKey& key, const HashPair& /*h*/, uint32_t bytes,
-                         uint64_t est_bytes, uint64_t est_packets) {
-  if (uint32_t* pos = IndexFind(key); pos != nullptr) {
-    Entry& e = entries_[*pos];
+void SpaceSaving::Update(const FlowKey& key, uint32_t bytes, uint64_t est_bytes,
+                         uint64_t est_packets) {
+  const size_t ideal = IndexSlot(key);
+  size_t slot = Probe(key, ideal);
+  if (index_pos_[slot] != kEmpty) {
+    const size_t pos = index_pos_[slot];
+    Entry& e = entries_[pos];
     e.bytes += bytes;
     e.packets += 1;
-    SiftDown(*pos);  // Counts only grow: the entry can only move down.
+    SiftDown(pos);  // Counts only grow: the entry can only move down.
     return;
   }
   if (live_ < config_.capacity) {
     const size_t pos = live_++;
     entries_[pos] = Entry{key, est_bytes, est_packets, est_bytes - bytes};
-    IndexInsert(key, static_cast<uint32_t>(pos));
+    index_keys_[slot] = key;
+    Place(pos, slot);
     SiftUp(pos);
     return;
   }
@@ -160,9 +154,12 @@ void SpaceSaving::Update(const FlowKey& key, const HashPair& /*h*/, uint32_t byt
     return;
   }
   ++evictions_;
-  IndexErase(min.key);
+  IndexErase(slot_of_[0]);
+  // The erase may have opened an earlier hole in this key's probe chain.
+  slot = Probe(key, ideal);
   min = Entry{key, est_bytes, est_packets, est_bytes - bytes};
-  IndexInsert(key, 0);
+  index_keys_[slot] = key;
+  Place(0, slot);
   SiftDown(0);
 }
 
@@ -181,7 +178,9 @@ void SpaceSaving::Rebuild(std::vector<Entry> entries) {
   for (Entry& e : entries) {
     const size_t pos = live_++;
     entries_[pos] = e;
-    IndexInsert(e.key, static_cast<uint32_t>(pos));
+    const size_t slot = Probe(e.key, IndexSlot(e.key));
+    index_keys_[slot] = e.key;
+    Place(pos, slot);
     SiftUp(pos);
   }
 }

@@ -49,9 +49,8 @@ class SpaceSaving {
 
   // Records `bytes` for `key`. `est_bytes`/`est_packets` are the flow's
   // current count-min estimates (including this packet); they seed the entry
-  // on admission and gate eviction. Allocation-free.
-  void Update(const FlowKey& key, const HashPair& h, uint32_t bytes,
-              uint64_t est_bytes, uint64_t est_packets);
+  // on admission and gate eviction. Allocation-free; hashes `key` once.
+  void Update(const FlowKey& key, uint32_t bytes, uint64_t est_bytes, uint64_t est_packets);
 
   // The top `k` tracked flows by bytes, descending, ties by key order.
   // Control-plane only (allocates the result vector).
@@ -59,13 +58,13 @@ class SpaceSaving {
 
   size_t tracked() const { return live_; }
   uint32_t capacity() const { return config_.capacity; }
-  uint64_t seed() const { return seed_; }
+  uint64_t seed() const { return hash_.seed(); }
   // Total misses that displaced a live entry — when zero, the table is an
   // exact per-flow account of every key it admitted (merge is lossless).
   uint64_t evictions() const { return evictions_; }
 
   bool Compatible(const SpaceSaving& other) const {
-    return seed_ == other.seed_ && config_.capacity == other.config_.capacity;
+    return seed() == other.seed() && config_.capacity == other.config_.capacity;
   }
 
   // Union-and-truncate as described above. `other` must share
@@ -77,23 +76,29 @@ class SpaceSaving {
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
   // Entries live in heap order: entries_[0] is the minimum by (bytes, key).
-  // index_ is open-addressed (linear probing, backward-shift deletion) from
-  // key hash to entry position, kept in sync with every sift.
+  // The index is open-addressed (linear probing, backward-shift deletion)
+  // from key hash to entry position; slot_of_ maps back from position to
+  // index slot, so a sift swap fixes both sides without re-hashing.
   bool HeapLess(const Entry& a, const Entry& b) const;
   void SiftUp(size_t pos);
   void SiftDown(size_t pos);
-  void IndexInsert(const FlowKey& key, uint32_t pos);
-  void IndexErase(const FlowKey& key);
-  uint32_t* IndexFind(const FlowKey& key);
+  void Swap(size_t a, size_t b);
+  // Links entry `pos` to index slot `slot` (which must hold its key).
+  void Place(size_t pos, size_t slot);
+  // From `ideal` (the key's home slot), the slot holding `key`, or the free
+  // slot that ends its probe chain.
+  size_t Probe(const FlowKey& key, size_t ideal) const;
+  void IndexErase(size_t slot);
   size_t IndexSlot(const FlowKey& key) const;
   void Rebuild(std::vector<Entry> entries);
 
   SpaceSavingConfig config_;
-  uint64_t seed_;
+  KeyHasher hash_;
   std::vector<Entry> entries_;  // Min-heap by (bytes, key); first live_ used.
   size_t live_ = 0;
   std::vector<FlowKey> index_keys_;  // Open-addressed: key per slot.
   std::vector<uint32_t> index_pos_;  // Entry position per slot, kEmpty if free.
+  std::vector<uint32_t> slot_of_;    // Index slot per entry position.
   uint64_t index_mask_ = 0;
   uint64_t evictions_ = 0;
 };

@@ -345,6 +345,45 @@ TEST_F(SloMonitorTest, InterleavedSubsetsThenFullObserveSeesEverything) {
   EXPECT_EQ(full.nodes[2].samples, 1u);
 }
 
+TEST_F(SloMonitorTest, RestartedNodeWindowStartsAtItsFirstSample) {
+  // Regression: windows used to be positional cursors into the node's
+  // sample vector. A rebooted node whose fresh summary had already reached
+  // the old cursor's length by the next Observe() silently lost its first
+  // `cursor` samples.
+  fleet::SloMonitor monitor(&cluster_, cfg_);
+  for (double v : {10.0, 20.0, 30.0}) {
+    lat_[1].Add(v);
+  }
+  EXPECT_EQ(monitor.Observe().nodes[1].samples, 3u);
+
+  cluster_.CrashNode(1);
+  cluster_.RestartNode(1);
+  // The new life happens to repeat the old values (so the old snapshot is a
+  // sub-multiset of the new summary) and adds one more.
+  sim::Summary reborn;
+  for (double v : {10.0, 20.0, 30.0, 500.0}) {
+    reborn.Add(v);
+  }
+  cluster_.observability(1).metrics.AddSummary("test.lat", &reborn);
+  fleet::SloMonitor::Report r = monitor.Observe();
+  EXPECT_EQ(r.nodes[1].samples, 4u);
+  EXPECT_EQ(r.total_samples, 4u);
+  EXPECT_DOUBLE_EQ(r.nodes[1].value, 25.0);
+
+  // Same boot, but the metric was swapped for one the snapshot does not
+  // cover: the window restarts at the new summary's first sample too.
+  sim::Summary swapped;
+  for (double v : {1.0, 2.0}) {
+    swapped.Add(v);
+  }
+  cluster_.observability(1).metrics.Remove("test.lat");
+  cluster_.observability(1).metrics.AddSummary("test.lat", &swapped);
+  EXPECT_EQ(monitor.Observe().nodes[1].samples, 2u);
+  // From here on the window advances normally.
+  swapped.Add(3.0);
+  EXPECT_EQ(monitor.Observe().nodes[1].samples, 1u);
+}
+
 TEST_F(SloMonitorTest, HotspotReportNamesHeavyFlowsFromSketches) {
   cfg_.hotspot_factor = 2.0;
   cfg_.heavy_hitters = 2;
@@ -514,7 +553,9 @@ TEST_F(SloMonitorTest, SuggestRebalanceSkipsDeadTargets) {
 TEST(Cluster, NodePrefixIsIndependentOfClusterSize) {
   struct NodeResult {
     sim::Duration dp_work;
-    std::vector<double> startups;
+    size_t startups;
+    double startup_sum;
+    std::vector<sim::Summary::ValueCount> startup_counts;
   };
   auto drive = [](int nodes) {
     fleet::Cluster cluster(SmallCluster(nodes, 99));
@@ -527,8 +568,9 @@ TEST(Cluster, NodePrefixIsIndependentOfClusterSize) {
     load.Stop();
     std::vector<NodeResult> out;
     for (size_t i = 0; i < cluster.size(); ++i) {
-      out.push_back({cluster.node(i).TotalDpWork(),
-                     cluster.node(i).device_manager().startup_ms().samples()});
+      const sim::Summary& startup = cluster.node(i).device_manager().startup_ms();
+      out.push_back({cluster.node(i).TotalDpWork(), startup.count(), startup.sum(),
+                     startup.Counts()});
     }
     return out;
   };
@@ -538,7 +580,55 @@ TEST(Cluster, NodePrefixIsIndependentOfClusterSize) {
   for (size_t i = 0; i < small.size(); ++i) {
     EXPECT_EQ(small[i].dp_work, large[i].dp_work) << "node " << i;
     EXPECT_EQ(small[i].startups, large[i].startups) << "node " << i;
+    // Bit-exact: the sum runs in sample order on each node.
+    EXPECT_EQ(small[i].startup_sum, large[i].startup_sum) << "node " << i;
+    ASSERT_EQ(small[i].startup_counts.size(), large[i].startup_counts.size()) << "node " << i;
+    for (size_t v = 0; v < small[i].startup_counts.size(); ++v) {
+      EXPECT_EQ(small[i].startup_counts[v].value, large[i].startup_counts[v].value);
+      EXPECT_EQ(small[i].startup_counts[v].count, large[i].startup_counts[v].count);
+    }
   }
+}
+
+TEST(Cluster, SummaryMemoryStaysFlatAsSimulatedTimeDoubles) {
+  // Summaries hold one entry per distinct value, and simulated latencies
+  // are integer nanoseconds from a bounded range: twice the simulated time
+  // brings twice the samples but few new values. Byte counts are capacities,
+  // so this is deterministic.
+  struct Footprint {
+    uint64_t samples = 0;
+    size_t bytes = 0;
+  };
+  auto run = [](sim::Duration length) {
+    fleet::Cluster cluster(SmallCluster(2, 41));
+    fleet::LoadGenConfig lcfg;
+    lcfg.seed = 41;
+    lcfg.vm_arrival_rate_per_sec = 150.0;
+    fleet::LoadGen load(&cluster, lcfg);
+    load.Start();
+    cluster.RunFor(length);
+    load.Stop();
+    Footprint out;
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      const obs::MetricsRegistry& reg = cluster.observability(i).metrics;
+      for (const obs::MetricSample& m : reg.Snapshot(cluster.Now()).samples) {
+        if (m.kind == obs::MetricSample::Kind::kSummary) {
+          const sim::Summary* s = reg.FindSummary(m.name);
+          out.samples += s->count();
+          out.bytes += s->heap_bytes();
+        }
+      }
+    }
+    return out;
+  };
+  const Footprint once = run(sim::Millis(200));
+  const Footprint twice = run(sim::Millis(400));
+  ASSERT_GT(once.samples, 10000u);
+  // Load ramps up from the start, so the longer run has slightly under 2x.
+  EXPECT_GE(twice.samples, once.samples * 18 / 10);
+  EXPECT_LE(twice.bytes, once.bytes * 3 / 2)
+      << once.bytes << " bytes for " << once.samples << " samples, then " << twice.bytes
+      << " bytes for " << twice.samples;
 }
 
 TEST(Cluster, SameSeedRunsAreByteIdentical) {

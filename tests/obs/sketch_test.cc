@@ -4,6 +4,8 @@
 // the structure guarantees it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,6 @@ namespace {
 
 using sketch::CountMinConfig;
 using sketch::CountMinSketch;
-using sketch::HashKey;
 using sketch::HyperLogLog;
 using sketch::HyperLogLogConfig;
 using sketch::SpaceSaving;
@@ -47,6 +48,22 @@ TEST(CountMin, ExactWhenSparse) {
     EXPECT_EQ(est.bytes, static_cast<uint64_t>(i % 3 + 1) * (100 + i)) << i;
   }
   EXPECT_EQ(cms.total_packets(), 199u);  // 34*1 + 33*2 + 33*3.
+}
+
+TEST(CountMin, UpdateReturnsThePostUpdateQuery) {
+  // Narrow rows so conservative updates collide constantly: the returned
+  // estimate must still equal a fresh point query after every update.
+  CountMinConfig cfg;
+  cfg.width = 32;
+  cfg.depth = 3;
+  CountMinSketch cms(cfg);
+  for (uint32_t i = 0; i < 5000; ++i) {
+    const FlowKey key = Key(i * 7919 % 300);
+    const auto est = cms.Update(key, 40 + i % 1400);
+    const auto query = cms.Query(key);
+    ASSERT_EQ(est.packets, query.packets) << i;
+    ASSERT_EQ(est.bytes, query.bytes) << i;
+  }
 }
 
 TEST(CountMin, OverestimateOnlyUnderHeavyCollisions) {
@@ -181,7 +198,7 @@ TEST(Hll, MergeRefusesIncompatiblePrecision) {
 // regime the admission filter sees when the CMS is uncollided.
 void FeedExact(SpaceSaving& ss, const FlowKey& key, uint32_t bytes,
                uint64_t true_bytes, uint64_t true_packets) {
-  ss.Update(key, HashKey(key, ss.seed()), bytes, true_bytes, true_packets);
+  ss.Update(key, bytes, true_bytes, true_packets);
 }
 
 TEST(SpaceSaving, ExactUnderCapacity) {
@@ -227,6 +244,55 @@ TEST(SpaceSaving, ColdFlowsBounceOffFullTable) {
   EXPECT_EQ(ss.TopK(1)[0].bytes, 5000u);
   // Admission overcount is recorded: true count is within [bytes-error, bytes].
   EXPECT_EQ(ss.TopK(1)[0].error, 5000u - 500u);
+}
+
+TEST(SpaceSaving, EvictionChurnMatchesAReferenceTable) {
+  // Heavy churn through a tiny table exercises every index move: sift swaps,
+  // evictions with backward-shift deletion, and re-probes after them. The
+  // result must equal a plain map running the same admission rule.
+  SpaceSavingConfig cfg;
+  cfg.capacity = 8;
+  SpaceSaving ss(cfg);
+  std::map<FlowKey, SpaceSaving::Entry> ref;
+  uint64_t ref_evictions = 0;
+  uint64_t x = 12345;
+  for (uint32_t i = 0; i < 20000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const FlowKey key = Key(static_cast<uint32_t>(x >> 40) % 40);
+    const uint32_t bytes = 64 + static_cast<uint32_t>(x >> 20) % 1400;
+    const uint64_t est_bytes = bytes + uint64_t{i} * 40 + (x >> 8) % 20000;
+    ss.Update(key, bytes, est_bytes, 1);
+    if (auto it = ref.find(key); it != ref.end()) {
+      it->second.bytes += bytes;
+      it->second.packets += 1;
+      continue;
+    }
+    const SpaceSaving::Entry fresh{key, est_bytes, 1, est_bytes - bytes};
+    if (ref.size() < cfg.capacity) {
+      ref.emplace(key, fresh);
+      continue;
+    }
+    auto min = std::min_element(ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+      return a.second.bytes != b.second.bytes ? a.second.bytes < b.second.bytes
+                                              : a.first < b.first;
+    });
+    if (est_bytes > min->second.bytes) {
+      ++ref_evictions;
+      ref.erase(min);
+      ref.emplace(key, fresh);
+    }
+  }
+  EXPECT_EQ(ss.evictions(), ref_evictions);
+  ASSERT_GT(ref_evictions, 100u);
+  const auto top = ss.TopK(cfg.capacity);
+  ASSERT_EQ(top.size(), ref.size());
+  for (const auto& e : top) {
+    auto it = ref.find(e.key);
+    ASSERT_NE(it, ref.end());
+    EXPECT_EQ(e.bytes, it->second.bytes);
+    EXPECT_EQ(e.packets, it->second.packets);
+    EXPECT_EQ(e.error, it->second.error);
+  }
 }
 
 TEST(SpaceSaving, MergeIsLosslessAndCommutativeWithoutEvictions) {
