@@ -2,11 +2,16 @@
 #ifndef BENCH_COMMON_H_
 #define BENCH_COMMON_H_
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,6 +57,47 @@ inline std::string Pct(double value, double reference) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%+.2f%%", (value / reference - 1.0) * 100.0);
   return buf;
+}
+
+// The value of numeric flag `flag`: all of `text` must parse as a T within
+// [lo, hi]. Empty input, trailing junk ("12x") or an out-of-range value is a
+// usage error that exits with code 2, where bare atoi/atof would quietly run
+// some other experiment. Signed integers are decimal; unsigned ones also take
+// a 0x or 0 prefix, as strtoull does.
+template <typename T>
+T ParseFlag(const char* flag, const char* text, T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max()) {
+  static_assert(std::is_arithmetic_v<T>);
+  char* end = nullptr;
+  errno = 0;
+  bool in_range = false;
+  T value{};
+  if constexpr (std::is_floating_point_v<T>) {
+    const double v = std::strtod(text, &end);
+    in_range = std::isfinite(v) && v >= lo && v <= hi;
+    value = static_cast<T>(v);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    in_range = std::strchr(text, '-') == nullptr && v >= lo && v <= hi;
+    value = static_cast<T>(v);
+  } else {
+    const long long v = std::strtoll(text, &end, 10);
+    in_range = v >= lo && v <= hi;
+    value = static_cast<T>(v);
+  }
+  if (end == text || *end != '\0' || errno == ERANGE || !in_range) {
+    auto show = [](T v) {
+      if constexpr (std::is_floating_point_v<T>) {
+        return obs::JsonNum(v);
+      } else {
+        return std::to_string(v);
+      }
+    };
+    std::fprintf(stderr, "%s: '%s' is not a number in [%s, %s]\n", flag, text,
+                 show(lo).c_str(), show(hi).c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 // Machine-readable bench output. Every harness constructs one of these with

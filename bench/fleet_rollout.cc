@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--scenario") {
       scenario_name = argv[i + 1];
     } else if (arg == "--threads") {
-      threads = std::atoi(argv[i + 1]);
+      threads = bench::ParseFlag<int>("--threads", argv[i + 1], 1);
     }
   }
   if (autopilot_mode) {

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -73,9 +72,9 @@ PointResult RunPoint(const Options& opt, int nodes) {
   ccfg.epoch = sim::Millis(5);
   ccfg.threads = opt.threads;
   ccfg.node.mode = exp::Mode::kBaseline;
-  // Lean node: at 10k nodes the default 64k-slot packet arenas and 4096x4
-  // sketches dominate memory for no benefit at this offered load.
-  ccfg.node.packet_pool_capacity = 4096;
+  // Lean node: at 10k nodes the default 4096x4 sketches dominate memory for
+  // no benefit at this offered load. The packet arena needs no trim: it
+  // builds slots only for packets actually in flight.
   ccfg.node.flow_monitor.cms_width = 512;
   ccfg.node.flow_monitor.cms_depth = 2;
   ccfg.node.flow_monitor.topk_capacity = 16;
@@ -154,23 +153,24 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--nodes") {
-      single_nodes = std::atoi(argv[i + 1]);
+      single_nodes = bench::ParseFlag<int>("--nodes", argv[i + 1], 1);
     } else if (arg == "--threads") {
-      opt.threads = std::atoi(argv[i + 1]);
+      opt.threads = bench::ParseFlag<int>("--threads", argv[i + 1], 1);
     } else if (arg == "--duration-ms") {
-      opt.duration_ms = std::atof(argv[i + 1]);
+      opt.duration_ms = bench::ParseFlag<double>("--duration-ms", argv[i + 1], 0.0);
     } else if (arg == "--users") {
-      opt.users_per_node = std::atof(argv[i + 1]);
+      opt.users_per_node = bench::ParseFlag<double>("--users", argv[i + 1], 0.0);
     } else if (arg == "--pps") {
-      opt.pps_per_user = std::atof(argv[i + 1]);
+      opt.pps_per_user = bench::ParseFlag<double>("--pps", argv[i + 1], 0.0);
     } else if (arg == "--flows-per-user") {
-      opt.flows_per_user = std::atof(argv[i + 1]);
+      opt.flows_per_user = bench::ParseFlag<double>("--flows-per-user", argv[i + 1], 0.0);
     } else if (arg == "--standing-timers") {
-      opt.standing_timers = std::atoi(argv[i + 1]);
+      opt.standing_timers = bench::ParseFlag<int>("--standing-timers", argv[i + 1], 0);
     } else if (arg == "--timer-period-ms") {
-      opt.timer_period_ms = std::atof(argv[i + 1]);
+      opt.timer_period_ms = bench::ParseFlag<double>("--timer-period-ms", argv[i + 1], 1e-3);
     } else if (arg == "--calendar-threshold") {
-      opt.calendar_threshold = static_cast<size_t>(std::atoll(argv[i + 1]));
+      opt.calendar_threshold =
+          static_cast<size_t>(bench::ParseFlag<int64_t>("--calendar-threshold", argv[i + 1], 0));
     } else if (arg == "--perf-json") {
       opt.perf_json_path = argv[i + 1];
     }

@@ -11,7 +11,6 @@
 // bytes produced with --threads 1 against --threads 4 with `cmp`. The
 // process exits nonzero when any requested scenario fails its expectations
 // — the suite is a gate, not just a report.
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -106,15 +105,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--replay") {
       replay_path = argv[++i];
     } else if (arg == "--nodes") {
-      opts.nodes = std::atoi(argv[++i]);
+      opts.nodes = bench::ParseFlag<int>("--nodes", argv[++i], 1);
     } else if (arg == "--density") {
-      opts.density = std::atoi(argv[++i]);
+      opts.density = bench::ParseFlag<int>("--density", argv[++i], 1);
     } else if (arg == "--seed") {
-      opts.seed = std::strtoull(argv[++i], nullptr, 0);
+      opts.seed = bench::ParseFlag<uint64_t>("--seed", argv[++i]);
     } else if (arg == "--threads") {
-      opts.threads = std::atoi(argv[++i]);
+      opts.threads = bench::ParseFlag<int>("--threads", argv[++i], 1);
     } else if (arg == "--duration-ms") {
-      opts.observed = sim::Millis(std::atoi(argv[++i]));
+      opts.observed = sim::Millis(bench::ParseFlag<int>("--duration-ms", argv[++i], 0));
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;

@@ -22,9 +22,10 @@ struct MachineConfig {
   sim::Duration ipi_delivery_latency = sim::Nanos(400);
   AcceleratorConfig accelerator;
   NicPortConfig nic;
-  // Slots in the node's packet arena (~80 B each). Sized so sustained
-  // overload fills the descriptor rings first: ring drops, not pool
-  // exhaustion, are the designed shedding point.
+  // Upper bound on the node's packet-arena slots (88 B each, built on first
+  // use, so unused headroom costs no memory). Sized so sustained overload
+  // fills the descriptor rings first: ring drops, not pool exhaustion, are
+  // the designed shedding point.
   size_t packet_pool_capacity = 65536;
 };
 

@@ -1,31 +1,32 @@
 #include "src/sim/packet_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/sim/logging.h"
 
 namespace taichi::sim {
 
-PacketPool::PacketPool(size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  if (capacity > kMaxCapacity) capacity = kMaxCapacity;
-  slots_.resize(capacity);
-  free_.reserve(capacity);
-  // LIFO: push descending so the first Alloc hands out slot 0. Freshly freed
-  // slots are reused first, which keeps the working set cache-hot under
-  // steady load.
-  for (size_t i = capacity; i-- > 0;) {
-    free_.push_back(static_cast<uint32_t>(i));
-  }
+PacketPool::PacketPool(size_t capacity)
+    : capacity_(std::clamp<size_t>(capacity, 1, kMaxCapacity)) {
+  slots_.reserve(capacity_);
+  free_.reserve(capacity_);
 }
 
 PacketHandle PacketPool::Alloc(const hw::IoPacket& pkt) {
-  if (free_.empty()) {
+  // Freshly freed slots are reused first, which keeps the working set
+  // cache-hot under steady load; a new slot is built only when none is free.
+  uint32_t idx;
+  if (!free_.empty()) {
+    idx = free_.back();
+    free_.pop_back();
+  } else if (slots_.size() < capacity_) {
+    idx = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
     ++exhausted_;
     return kInvalidPacketHandle;
   }
-  uint32_t idx = free_.back();
-  free_.pop_back();
   Slot& s = slots_[idx];
   s.pkt = pkt;
   return idx | (s.generation << kIndexBits);

@@ -1,4 +1,4 @@
-// Fixed-slab packet arena with generation-tagged handles — the simulator's
+// Bounded packet arena with generation-tagged handles — the simulator's
 // equivalent of a DPDK mbuf pool.
 #ifndef SRC_SIM_PACKET_POOL_H_
 #define SRC_SIM_PACKET_POOL_H_
@@ -20,7 +20,7 @@ using PacketHandle = uint32_t;
 // all-ones generation is skipped by the generation bump).
 inline constexpr PacketHandle kInvalidPacketHandle = 0xffffffffu;
 
-// Fixed-capacity arena of IoPacket slots with a LIFO free-list. One pool per
+// Bounded arena of IoPacket slots with a LIFO free-list. One pool per
 // simulated node, owned by hw::Machine, so parallel fleet epochs never share
 // an arena and the serial-vs-parallel byte-identity contract holds trivially.
 //
@@ -30,7 +30,12 @@ inline constexpr PacketHandle kInvalidPacketHandle = 0xffffffffu;
 // kInvalidPacketHandle and counts it; the RX path treats that as a drop, the
 // same way a real NIC sheds load when its mbuf pool runs dry.
 //
-// All storage is sized at construction; Alloc/Free/Get never allocate.
+// All storage is reserved at construction, constructed on first use, never
+// reallocated: Alloc reuses the most recently freed slot and constructs the
+// next one only when none is free. Untouched capacity costs no resident
+// memory, and since Alloc/Free/Get never allocate, slot references stay
+// stable. Handles come out as slots 0, 1, 2, ... in order, with freed slots
+// reused LIFO before any new one: a pure function of the alloc/free order.
 class PacketPool {
  public:
   static constexpr uint32_t kIndexBits = 20;
@@ -44,9 +49,9 @@ class PacketPool {
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
 
-  // Takes a free slot, copies `pkt` into it and returns its handle, or
-  // returns kInvalidPacketHandle (and counts the exhaustion) when no slot is
-  // free.
+  // Takes a free slot (or constructs the next one), copies `pkt` into it and
+  // returns its handle, or returns kInvalidPacketHandle (and counts the
+  // exhaustion) when every slot up to capacity() is in use.
   PacketHandle Alloc(const hw::IoPacket& pkt);
 
   // Returns the packet behind a live handle. A stale or malformed handle is
@@ -60,8 +65,10 @@ class PacketPool {
   // outstanding copy of `h` goes stale.
   void Free(PacketHandle h);
 
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return capacity_; }
   size_t in_use() const { return slots_.size() - free_.size(); }
+  // Slots constructed so far: the peak of in_use() over the pool's life.
+  size_t high_water() const { return slots_.size(); }
   // Alloc calls that failed for want of a free slot.
   uint64_t exhausted() const { return exhausted_; }
 
@@ -79,8 +86,9 @@ class PacketPool {
   uint32_t CheckedIndex(PacketHandle h) const;
   [[noreturn]] void DieStale(PacketHandle h) const;
 
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_;  // LIFO stack of free slot indices.
+  size_t capacity_;
+  std::vector<Slot> slots_;     // Constructed slots; capacity_ reserved.
+  std::vector<uint32_t> free_;  // LIFO stack of freed slot indices.
   uint64_t exhausted_ = 0;
 };
 

@@ -308,7 +308,18 @@ Summary Summary::Since(const std::vector<ValueCount>& snapshot) const {
   return delta;
 }
 
-void Summary::Clear() { *this = Summary(); }
+void Summary::Clear() {
+  // Keeps every buffer's capacity: a summary cleared after warm-up refills
+  // without allocating (bench_micro's steady-state gate depends on it).
+  count_ = 0;
+  sum_ = min_ = max_ = running_mean_ = m2_ = 0;
+  pending_.clear();
+  std::fill(table_.begin(), table_.end(), Slot{0, 0});
+  distinct_ = 0;
+  sorted_.clear();
+  cum_.clear();
+  sorted_valid_ = true;
+}
 
 size_t Summary::heap_bytes() const {
   return pending_.capacity() * sizeof(double) + table_.capacity() * sizeof(Slot) +

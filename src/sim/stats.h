@@ -62,6 +62,8 @@ class Summary {
   // with TAICHI_ERROR, and the result is empty.
   Summary Since(const std::vector<ValueCount>& snapshot) const;
 
+  // Forgets every sample but keeps the storage, so refilling to the same
+  // number of distinct values does not allocate.
   void Clear();
 
   // Heap bytes held: pending buffer, value table and sorted view. Grows with

@@ -2,6 +2,9 @@
 // runtime enable/disable, and fleet metric aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/fleet/cluster.h"
 #include "src/fleet/load_gen.h"
 #include "src/fleet/placer.h"
@@ -755,6 +758,34 @@ TEST(Cluster, EpochBoundaryShrinksNodeEventPools) {
   ASSERT_GE(before, 4096u);
   cluster.RunFor(sim::Millis(2));  // One epoch.
   EXPECT_LT(sim.event_pool_slots(), before);
+}
+
+TEST(Cluster, PacketArenasGrowOnlyToPacketsInFlight) {
+  // Each node's arena reserves its configured capacity but builds slots only
+  // as packets need them, so after a loaded run the constructed slots sit far
+  // below capacity and cover the largest in-flight population seen.
+  fleet::Cluster cluster(SmallCluster(12, 13));
+  std::vector<size_t> peak_in_use(cluster.size(), 0);
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    const sim::PacketPool& pool = cluster.node(i).machine().pool();
+    size_t& peak = peak_in_use[i];
+    cluster.node(i).sim().ScheduleRepeating(sim::Micros(5), sim::Micros(5), [&pool, &peak] {
+      peak = std::max(peak, pool.in_use());
+    });
+  }
+  fleet::LoadGenConfig lcfg;
+  lcfg.seed = 13;
+  fleet::LoadGen load(&cluster, lcfg);
+  load.Start();
+  cluster.RunFor(sim::Millis(20));
+  load.Stop();
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    const sim::PacketPool& pool = cluster.node(i).machine().pool();
+    SCOPED_TRACE(i);
+    EXPECT_GT(peak_in_use[i], 0u);
+    EXPECT_GE(pool.high_water(), peak_in_use[i]);
+    EXPECT_LT(pool.high_water(), pool.capacity() / 64);
+  }
 }
 
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 namespace taichi::sim {
@@ -116,6 +117,105 @@ TEST(PacketPoolTest, DeterministicHandleSequence) {
   PacketPool a(16);
   PacketPool b(16);
   EXPECT_EQ(script(a), script(b));
+}
+
+// The eager arena the lazy one replaced, reduced to its handle arithmetic:
+// every slot exists from construction and the free list starts full,
+// pushed in descending order so the first Alloc hands out slot 0.
+class EagerReferencePool {
+ public:
+  explicit EagerReferencePool(uint32_t capacity) : generation_(capacity, 0) {
+    for (uint32_t i = capacity; i-- > 0;) {
+      free_.push_back(i);
+    }
+  }
+
+  PacketHandle Alloc() {
+    if (free_.empty()) {
+      ++exhausted_;
+      return kInvalidPacketHandle;
+    }
+    const uint32_t idx = free_.back();
+    free_.pop_back();
+    return idx | (generation_[idx] << PacketPool::kIndexBits);
+  }
+
+  void Free(PacketHandle h) {
+    const uint32_t idx = PacketPool::IndexOf(h);
+    generation_[idx] = (generation_[idx] + 1) & PacketPool::kGenerationMask;
+    free_.push_back(idx);
+  }
+
+  size_t in_use() const { return generation_.size() - free_.size(); }
+  uint64_t exhausted() const { return exhausted_; }
+
+ private:
+  std::vector<uint32_t> generation_;
+  std::vector<uint32_t> free_;
+  uint64_t exhausted_ = 0;
+};
+
+TEST(PacketPoolTest, LazyPoolMatchesEagerReferenceStepForStep) {
+  // Random alloc/free scripts that alternate between filling phases (which
+  // run the pool dry) and draining phases (which free after exhaustion):
+  // the lazy pool must hand out exactly the eager pool's handles.
+  for (uint32_t capacity : {1u, 2u, 7u, 64u}) {
+    SCOPED_TRACE(capacity);
+    PacketPool pool(capacity);
+    EagerReferencePool ref(capacity);
+    std::mt19937_64 rng(capacity * 7919 + 1);
+    std::vector<PacketHandle> live;
+    bool freed_after_exhaustion = false;
+    for (uint64_t step = 0; step < 20000; ++step) {
+      const bool filling = (step / 150) % 2 == 0;
+      const bool alloc = live.empty() || rng() % 10 < (filling ? 8u : 3u);
+      if (alloc) {
+        const PacketHandle h = pool.Alloc(Pkt(step));
+        ASSERT_EQ(h, ref.Alloc()) << "step " << step;
+        if (h != kInvalidPacketHandle) {
+          live.push_back(h);
+        }
+      } else {
+        const size_t pick = rng() % live.size();
+        const PacketHandle h = live[pick];
+        live[pick] = live.back();
+        live.pop_back();
+        pool.Free(h);
+        ref.Free(h);
+        freed_after_exhaustion |= ref.exhausted() > 0;
+      }
+      ASSERT_EQ(pool.exhausted(), ref.exhausted()) << "step " << step;
+      ASSERT_EQ(pool.in_use(), ref.in_use()) << "step " << step;
+    }
+    EXPECT_GT(ref.exhausted(), 0u);
+    EXPECT_TRUE(freed_after_exhaustion);
+    EXPECT_EQ(pool.high_water(), capacity);
+    EXPECT_EQ(pool.capacity(), capacity);
+  }
+}
+
+TEST(PacketPoolTest, SlotsAreConstructedOnFirstUse) {
+  PacketPool pool(PacketPool::kMaxCapacity);
+  EXPECT_EQ(pool.capacity(), PacketPool::kMaxCapacity);
+  EXPECT_EQ(pool.high_water(), 0u);
+  constexpr uint32_t kAllocs = 1000;
+  for (uint32_t i = 0; i < kAllocs; ++i) {
+    const PacketHandle h = pool.Alloc(Pkt(i));
+    ASSERT_EQ(PacketPool::IndexOf(h), i);
+  }
+  EXPECT_EQ(pool.high_water(), kAllocs);
+  EXPECT_EQ(pool.in_use(), kAllocs);
+}
+
+TEST(PacketPoolDeathTest, HandleBeyondHighWaterDies) {
+  // Well-formed (generation 0, index inside capacity) but naming a slot
+  // that was never constructed.
+  PacketPool pool(8);
+  (void)pool.Alloc(Pkt(1));
+  (void)pool.Alloc(Pkt(2));
+  ASSERT_EQ(pool.high_water(), 2u);
+  EXPECT_DEATH({ (void)pool.Get(PacketHandle{2}); }, "stale");
+  EXPECT_DEATH({ pool.Free(PacketHandle{5}); }, "stale");
 }
 
 TEST(PacketPoolTest, CapacityClampedToMax) {

@@ -130,6 +130,26 @@ TEST(SummaryTest, ClearResets) {
   EXPECT_DOUBLE_EQ(s.mean(), 7.0);
 }
 
+TEST(SummaryTest, ClearKeepsStorageAndForgetsValues) {
+  Summary s;
+  for (int i = 0; i < 1000; ++i) {
+    s.Add(i);
+  }
+  EXPECT_DOUBLE_EQ(s.Percentile(50), 499.5);
+  const size_t bytes = s.heap_bytes();
+  s.Clear();
+  EXPECT_EQ(s.heap_bytes(), bytes);
+  for (int i = 0; i < 3; ++i) {
+    s.Add(-i);
+  }
+  EXPECT_EQ(s.count(), 3u);
+  EXPECT_EQ(s.Counts().size(), 3u);
+  EXPECT_DOUBLE_EQ(s.min(), -2.0);
+  EXPECT_DOUBLE_EQ(s.max(), 0.0);
+  EXPECT_DOUBLE_EQ(s.Percentile(50), -1.0);
+  EXPECT_EQ(s.CountAtMost(10.0), 3u);
+}
+
 // --- Exactness against a stored-samples oracle ------------------------------
 
 // The percentile definition the summary must reproduce bit for bit: linear
