@@ -3,28 +3,25 @@
 //
 // Each sweep point builds a fresh cluster of N lean baseline nodes, drives
 // it with the flow-aggregate load model (millions of users folded into
-// per-node arrival-mix state, O(nodes) memory) plus a standing population
-// of inert management timers sized so every node's event queue crosses the
-// calendar engage threshold, and steps the whole fleet for a fixed slice of
-// simulated time. The figure of merit is events/sec/node: flat means the
-// simulator scales linearly in node count, which is what the calendar
-// queue + sharded epoch stepping + idle fast path exist to deliver.
+// per-node arrival-mix state, O(nodes) memory), and steps the whole fleet
+// for a fixed slice of simulated time. The figure of merit is
+// events/sec/node: flat means the simulator scales linearly in node count,
+// which is what sharded epoch stepping + the idle fast path exist to
+// deliver.
 //
 // `--json <path>` is the deterministic report (per-point event totals,
-// per-node min/max, merged-sketch distinct flows, calendar engagement):
-// byte-identical across `--threads` values, which CI enforces with a t1 vs
-// t4 `cmp`. Wall-clock numbers (events/sec, per-node rate ratios) go to the
-// `--perf-json` sidecar only.
+// per-node min/max, merged-sketch distinct flows): byte-identical across
+// `--threads` values, which CI enforces with a t1 vs t4 `cmp`. Wall-clock
+// numbers (events/sec, per-node rate ratios) go to the `--perf-json`
+// sidecar only.
 //
 // Default sweep is {12, 256, 1024}; `--full` extends to {4096, 10240};
-// `--nodes N` pins a single point. `--calendar-threshold 0` runs the same
-// workload on the binary heap alone — CI diffs the deterministic metrics
-// of the two modes to prove the calendar changes nothing but speed.
+// `--nodes N` pins a single point. An unknown flag is a usage error (exit
+// 2), not a silently different experiment.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,12 +41,6 @@ struct Options {
   double users_per_node = 1000.0;
   double pps_per_user = 40.0;
   double flows_per_user = 1.0;
-  // Per-node standing management timers (inert: their fires do nothing but
-  // keep the queue populated). 2048 standing events with a 512 threshold
-  // puts every node's queue well into calendar territory.
-  int standing_timers = 2048;
-  double timer_period_ms = 20.0;
-  size_t calendar_threshold = 512;
   std::string perf_json_path;
 };
 
@@ -61,7 +52,6 @@ struct PointResult {
   uint64_t aggregate_flows = 0;  // Configured fleet flow population.
   double distinct_flows = 0;     // Merged RX HLL estimate.
   double aggregate_pps = 0;      // Offered fleet packets/sec.
-  int calendar_nodes = 0;        // Nodes whose queue engaged the calendar.
   double wall_ms = 0;            // Host-dependent; perf sidecar only.
 };
 
@@ -79,21 +69,6 @@ PointResult RunPoint(const Options& opt, int nodes) {
   ccfg.node.flow_monitor.cms_depth = 2;
   ccfg.node.flow_monitor.topk_capacity = 16;
   fleet::Cluster cluster(ccfg);
-
-  const sim::Duration period = sim::MillisF(opt.timer_period_ms);
-  for (size_t i = 0; i < cluster.size(); ++i) {
-    sim::Simulation& sim = cluster.node(i).sim();
-    sim.SetCalendarEngageThreshold(opt.calendar_threshold);
-    // Standing management-plane timers: first fires spread evenly over one
-    // period so the calendar sees a dense, cycling population rather than
-    // one synchronized spike.
-    for (int t = 0; t < opt.standing_timers; ++t) {
-      const sim::Duration first =
-          1 + (period * static_cast<sim::Duration>(t)) /
-                  static_cast<sim::Duration>(opt.standing_timers);
-      sim.ScheduleRepeating(first, period, [] {});
-    }
-  }
 
   fleet::LoadGenConfig load;
   load.seed = 2024;
@@ -124,9 +99,6 @@ PointResult RunPoint(const Options& opt, int nodes) {
     out.events_total += e;
     out.events_min = std::min(out.events_min, e);
     out.events_max = std::max(out.events_max, e);
-    if (cluster.node(i).sim().calendar_engages() > 0) {
-      ++out.calendar_nodes;
-    }
   }
   for (const fleet::LoadGen::NodeMix& mix : gen.node_mixes()) {
     out.aggregate_flows += mix.flows;
@@ -146,33 +118,33 @@ int main(int argc, char** argv) {
   bool full = false;
   int single_nodes = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    }
-  }
-  for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--full") {
+      full = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+      return 2;
+    }
+    const char* value = argv[++i];
     if (arg == "--nodes") {
-      single_nodes = bench::ParseFlag<int>("--nodes", argv[i + 1], 1);
+      single_nodes = bench::ParseFlag<int>("--nodes", value, 1);
     } else if (arg == "--threads") {
-      opt.threads = bench::ParseFlag<int>("--threads", argv[i + 1], 1);
+      opt.threads = bench::ParseFlag<int>("--threads", value, 1);
     } else if (arg == "--duration-ms") {
-      opt.duration_ms = bench::ParseFlag<double>("--duration-ms", argv[i + 1], 0.0);
+      opt.duration_ms = bench::ParseFlag<double>("--duration-ms", value, 0.0);
     } else if (arg == "--users") {
-      opt.users_per_node = bench::ParseFlag<double>("--users", argv[i + 1], 0.0);
+      opt.users_per_node = bench::ParseFlag<double>("--users", value, 0.0);
     } else if (arg == "--pps") {
-      opt.pps_per_user = bench::ParseFlag<double>("--pps", argv[i + 1], 0.0);
+      opt.pps_per_user = bench::ParseFlag<double>("--pps", value, 0.0);
     } else if (arg == "--flows-per-user") {
-      opt.flows_per_user = bench::ParseFlag<double>("--flows-per-user", argv[i + 1], 0.0);
-    } else if (arg == "--standing-timers") {
-      opt.standing_timers = bench::ParseFlag<int>("--standing-timers", argv[i + 1], 0);
-    } else if (arg == "--timer-period-ms") {
-      opt.timer_period_ms = bench::ParseFlag<double>("--timer-period-ms", argv[i + 1], 1e-3);
-    } else if (arg == "--calendar-threshold") {
-      opt.calendar_threshold =
-          static_cast<size_t>(bench::ParseFlag<int64_t>("--calendar-threshold", argv[i + 1], 0));
+      opt.flows_per_user = bench::ParseFlag<double>("--flows-per-user", value, 0.0);
     } else if (arg == "--perf-json") {
-      opt.perf_json_path = argv[i + 1];
+      opt.perf_json_path = value;
+    } else if (arg != "--json") {  // --json is read by bench::JsonReport.
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      return 2;
     }
   }
   if (single_nodes > 0) {
@@ -201,14 +173,13 @@ int main(int argc, char** argv) {
           : 0;
 
   sim::Table t({"Nodes", "Events", "Ev/node min..max", "Flows (cfg)", "Flows (HLL)",
-                "Calendar", "Wall (ms)", "Mev/s", "us/event", "vs base"});
+                "Wall (ms)", "Mev/s", "us/event", "vs base"});
   for (const PointResult& p : points) {
     const double rate =
         p.wall_ms > 0 ? static_cast<double>(p.events_total) / (p.wall_ms * 1e-3) : 0;
     t.AddRow({std::to_string(p.nodes), std::to_string(p.events_total),
               std::to_string(p.events_min) + ".." + std::to_string(p.events_max),
               std::to_string(p.aggregate_flows), sim::Table::Num(p.distinct_flows, 0),
-              std::to_string(p.calendar_nodes) + "/" + std::to_string(p.nodes),
               sim::Table::Num(p.wall_ms, 0), sim::Table::Num(rate / 1e6, 2),
               sim::Table::Num(rate > 0 ? 1e6 / rate : 0, 3),
               base_rate > 0 ? sim::Table::Num(rate / base_rate, 2) + "x" : "-"});
@@ -222,8 +193,6 @@ int main(int argc, char** argv) {
   json.Config("users_per_node", opt.users_per_node);
   json.Config("pps_per_user", opt.pps_per_user);
   json.Config("flows_per_user", opt.flows_per_user);
-  json.Config("standing_timers", static_cast<int64_t>(opt.standing_timers));
-  json.Config("calendar_threshold", static_cast<int64_t>(opt.calendar_threshold));
   for (const PointResult& p : points) {
     const std::string k = "n" + std::to_string(p.nodes) + ".";
     json.Metric(k + "events_total", static_cast<int64_t>(p.events_total));
@@ -232,7 +201,6 @@ int main(int argc, char** argv) {
     json.Metric(k + "aggregate_flows", static_cast<int64_t>(p.aggregate_flows));
     json.Metric(k + "aggregate_pps", p.aggregate_pps);
     json.Metric(k + "distinct_flows_hll", p.distinct_flows);
-    json.Metric(k + "calendar_nodes", static_cast<int64_t>(p.calendar_nodes));
   }
   if (!json.Write()) {
     return 1;
@@ -259,16 +227,12 @@ int main(int argc, char** argv) {
   }
 
   // The acceptance shape: every sweep point keeps its per-event wall cost
-  // within 2x of the smallest fleet's, and the calendar actually engaged
-  // (unless it was disabled for the heap-only comparison run).
+  // within 2x of the smallest fleet's.
   bool shape_ok = true;
   for (const PointResult& p : points) {
     const double rate =
         p.wall_ms > 0 ? static_cast<double>(p.events_total) / (p.wall_ms * 1e-3) : 0;
     if (base_rate > 0 && rate * 2 < base_rate) {
-      shape_ok = false;
-    }
-    if (opt.calendar_threshold != 0 && p.calendar_nodes != p.nodes) {
       shape_ok = false;
     }
   }

@@ -2,9 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
 #include <utility>
 
+#include "src/sim/logging.h"
+
 namespace taichi::sim {
+
+EventId EventQueue::ScheduleRepeating(SimTime first, Duration period, InlineCallback fn) {
+  if (period == 0) {
+    // A zero period would store a one-shot event that PopNext frees, so the
+    // standing timer would silently vanish after its first firing.
+    TAICHI_ERROR(first, "EventQueue::ScheduleRepeating: zero period (first=%" PRIu64 ")",
+                 first);
+    assert(period > 0 && "EventQueue::ScheduleRepeating: zero period");
+  }
+  return ScheduleSlot(first, period, std::move(fn));
+}
 
 EventId EventQueue::ScheduleSlot(SimTime when, Duration period, InlineCallback fn) {
   uint32_t slot;
@@ -20,15 +34,7 @@ EventId EventQueue::ScheduleSlot(SimTime when, Duration period, InlineCallback f
   Slot& s = slots_[slot];
   s.period = period;
   s.fn = std::move(fn);
-  const unsigned __int128 key = MakeKey(when, next_seq_++);
-  if (calendar_) {
-    InsertEntry(key, slot);
-  } else {
-    PushHeap(key, slot);
-    if (engage_threshold_ != 0 && heap_.size() >= engage_threshold_) {
-      EngageCalendar();
-    }
-  }
+  PushHeap(MakeKey(when, next_seq_++), slot);
   return MakeId(slot, s.gen);
 }
 
@@ -51,25 +57,13 @@ bool EventQueue::Reschedule(EventId id, SimTime when) {
   if (slot >= slots_.size()) {
     return false;
   }
-  Slot& s = slots_[slot];
-  if (!calendar_) {
-    const size_t pos = s.heap_pos;
-    // A fresh sequence number, exactly as Cancel + Schedule would have
-    // assigned: the re-keyed event orders after everything already scheduled
-    // at the same time. This is what keeps the conversion byte-identical.
-    heap_[pos].key = MakeKey(when, next_seq_++);
-    SiftUp(pos);
-    SiftDown(slots_[slot].heap_pos);
-    return true;
-  }
-  // Calendar mode: the new time may move the entry across the wheel/heap
-  // boundary, so detach and re-route. Same fresh-seq ordering either way.
-  if (s.wheel_bucket != kNotInBucket) {
-    RemoveWheelEntry(static_cast<uint32_t>(slot));
-  } else {
-    RemoveFromHeap(s.heap_pos);
-  }
-  InsertEntry(MakeKey(when, next_seq_++), static_cast<uint32_t>(slot));
+  const size_t pos = slots_[slot].heap_pos;
+  // A fresh sequence number, exactly as Cancel + Schedule would have
+  // assigned: the re-keyed event orders after everything already scheduled
+  // at the same time. This is what keeps the conversion byte-identical.
+  heap_[pos].key = MakeKey(when, next_seq_++);
+  SiftUp(pos);
+  SiftDown(slots_[slot].heap_pos);
   return true;
 }
 
@@ -78,69 +72,35 @@ bool EventQueue::Cancel(EventId id) {
   if (slot >= slots_.size()) {
     return false;
   }
-  Slot& s = slots_[slot];
-  if (s.wheel_bucket != kNotInBucket) {
-    RemoveWheelEntry(static_cast<uint32_t>(slot));
-  } else {
-    RemoveFromHeap(s.heap_pos);
-  }
+  RemoveFromHeap(slots_[slot].heap_pos);
   FreeSlot(static_cast<uint32_t>(slot));
   return true;
 }
 
 SimTime EventQueue::NextTime() const {
   assert(!empty());
-  if (wheel_size_ > 0) {
-    // Settle invariant: the cursor entry is live, sorted first, and — since
-    // every heap entry is at or past the window end — the global minimum.
-    return static_cast<SimTime>(buckets_[cursor_][cursor_pos_].key >> 64);
-  }
   return heap_.front().when();
 }
 
 EventQueue::Fired EventQueue::PopNext() {
   assert(!empty());
-  Fired fired;
-  if (calendar_) {
-    if (wheel_size_ == 0) {
-      RotateWheel();
-    }
-    const HeapEntry e = buckets_[cursor_][cursor_pos_];
-    Slot& s = slots_[e.slot];
-    fired = Fired{static_cast<SimTime>(e.key >> 64), MakeId(e.slot, s.gen),
-                  std::move(s.fn), s.period > 0};
-    ++cursor_pos_;
-    --wheel_size_;
-    s.wheel_bucket = kNotInBucket;
-    s.heap_pos = kNotInHeap;
-    if (s.period > 0) {
-      // Re-arm the same slot for the next firing; the callback is out with
-      // the caller and comes back via RestoreRepeating().
-      InsertEntry(MakeKey(fired.when + s.period, next_seq_++), e.slot);
-    } else {
-      FreeSlot(e.slot);
-    }
-    SettleCursor();
+  HeapEntry& e = heap_.front();
+  const uint32_t slot = e.slot;
+  Slot& s = slots_[slot];
+  Fired fired{e.when(), MakeId(slot, s.gen), std::move(s.fn), s.period > 0};
+  if (s.period > 0) {
+    // Re-key in place for the next firing; the callback is out with the
+    // caller and comes back via RestoreRepeating(). The fresh seq puts the
+    // next firing after events the callback schedules at the same time.
+    e.key = MakeKey(e.when() + s.period, next_seq_++);
+    SiftDownFromTop(0);
   } else {
-    HeapEntry& e = heap_.front();
-    const uint32_t slot = e.slot;
-    Slot& s = slots_[slot];
-    fired = Fired{e.when(), MakeId(slot, s.gen), std::move(s.fn), s.period > 0};
-    if (s.period > 0) {
-      // Re-key in place for the next firing; the callback is out with the
-      // caller and comes back via RestoreRepeating(). The fresh seq puts the
-      // next firing after events the callback schedules at the same time.
-      e.key = MakeKey(e.when() + s.period, next_seq_++);
-      SiftDownFromTop(0);
-    } else {
-      RemoveFromHeap(0);
-      FreeSlot(slot);
-    }
+    RemoveFromHeap(0);
+    FreeSlot(slot);
   }
   // Periodic high-water-mark check: after a burst drains, the next check
-  // returns the dead tail of the slot table (and applies the calendar
-  // disengage hysteresis). ShrinkToFit's own gates make this free in steady
-  // state.
+  // returns the dead tail of the slot table. ShrinkToFit's own gates make
+  // this free in steady state.
   if (++pops_since_shrink_check_ >= kAutoShrinkPopInterval) {
     pops_since_shrink_check_ = 0;
     ShrinkToFit();
@@ -156,22 +116,7 @@ void EventQueue::RestoreRepeating(EventId id, InlineCallback fn) {
   slots_[slot].fn = std::move(fn);
 }
 
-void EventQueue::set_calendar_engage_threshold(size_t threshold) {
-  engage_threshold_ = threshold;
-  if (calendar_ && threshold == 0) {
-    DisengageCalendar();
-  } else if (!calendar_ && threshold != 0 && size() >= threshold) {
-    EngageCalendar();
-  }
-}
-
 void EventQueue::ShrinkToFit() {
-  // Hysteresis: once the standing population has collapsed well below the
-  // engage point, fold the wheel back into the heap so a quiesced node pays
-  // no calendar overhead.
-  if (calendar_ && size() < engage_threshold_ / 4) {
-    DisengageCalendar();
-  }
   // Gate: only worth it when the table is large and mostly free.
   if (slots_.size() < kShrinkMinSlots || size() * 4 > slots_.size()) {
     return;
@@ -199,198 +144,6 @@ void EventQueue::ShrinkToFit() {
       slots_[i].next_free = free_head_;
       free_head_ = static_cast<uint32_t>(i);
     }
-  }
-}
-
-void EventQueue::EngageCalendar() {
-  assert(!calendar_);
-  const size_t n = heap_.size();
-  assert(n > 0);
-  // Size the window from the standing population: the bucket count targets
-  // ~4 entries per bucket, and the width spreads the 90th-percentile span
-  // over the window so one far-out sentinel can't stretch buckets into
-  // sorted-vector degeneracy (outliers just overflow into the heap).
-  const size_t count = std::clamp(n / 4, kMinBuckets, kMaxBuckets);
-  std::vector<SimTime> whens;
-  whens.reserve(n);
-  for (const HeapEntry& e : heap_) {
-    whens.push_back(e.when());
-  }
-  const size_t p90 = (n * 9) / 10 < n ? (n * 9) / 10 : n - 1;
-  std::nth_element(whens.begin(), whens.begin() + p90, whens.end());
-  const SimTime t90 = whens[p90];
-  const SimTime t_min = *std::min_element(whens.begin(), whens.begin() + p90 + 1);
-  const SimTime span = t90 - t_min;
-  bucket_width_ = std::max<Duration>(1, static_cast<Duration>(span / count));
-  buckets_.assign(count, {});
-  cursor_ = count;  // Empty wheel; the first PopNext rotates and fills it.
-  cursor_pos_ = 0;
-  cursor_sorted_ = false;
-  wheel_size_ = 0;
-  calendar_ = true;
-  ++engages_;
-}
-
-void EventQueue::DisengageCalendar() {
-  assert(calendar_);
-  for (size_t b = cursor_; b < buckets_.size(); ++b) {
-    std::vector<HeapEntry>& v = buckets_[b];
-    for (size_t j = (b == cursor_ ? cursor_pos_ : 0); j < v.size(); ++j) {
-      if (v[j].slot == kTombstoneSlot) {
-        continue;
-      }
-      slots_[v[j].slot].wheel_bucket = kNotInBucket;
-      PushHeap(v[j].key, v[j].slot);
-    }
-  }
-  buckets_.clear();
-  buckets_.shrink_to_fit();
-  wheel_size_ = 0;
-  cursor_ = 0;
-  cursor_pos_ = 0;
-  cursor_sorted_ = false;
-  calendar_ = false;
-}
-
-void EventQueue::RotateWheel() {
-  assert(calendar_ && wheel_size_ == 0 && !heap_.empty());
-  const SimTime t = heap_.front().when();
-  wheel_origin_ = t - (t % bucket_width_);
-  const unsigned __int128 horizon =
-      static_cast<unsigned __int128>(wheel_origin_) +
-      static_cast<unsigned __int128>(bucket_width_) * buckets_.size();
-  cursor_ = 0;
-  cursor_pos_ = 0;
-  cursor_sorted_ = false;
-  // One linear partition pass: window entries scatter into buckets (unsorted
-  // — buckets sort lazily when the cursor reaches them), the remainder
-  // compacts in place and re-heapifies. O(n) total, no per-entry sifts.
-  size_t keep = 0;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    const HeapEntry e = heap_[i];
-    if (static_cast<unsigned __int128>(e.when()) < horizon) {
-      const size_t idx =
-          static_cast<size_t>((e.when() - wheel_origin_) / bucket_width_);
-      Slot& s = slots_[e.slot];
-      s.wheel_bucket = static_cast<uint32_t>(idx);
-      s.heap_pos = static_cast<uint32_t>(buckets_[idx].size());
-      buckets_[idx].push_back(e);
-      ++wheel_size_;
-    } else {
-      heap_[keep] = e;
-      slots_[e.slot].heap_pos = static_cast<uint32_t>(keep);
-      ++keep;
-    }
-  }
-  heap_.resize(keep);
-  for (size_t i = keep; i-- > 0;) {
-    SiftDown(i);
-  }
-  assert(wheel_size_ > 0);  // The heap minimum is always inside the window.
-  SettleCursor();
-}
-
-void EventQueue::InsertEntry(unsigned __int128 key, uint32_t slot) {
-  assert(calendar_);
-  Slot& s = slots_[slot];
-  const SimTime when = static_cast<SimTime>(key >> 64);
-  size_t idx;
-  if (cursor_ >= buckets_.size()) {
-    idx = buckets_.size();  // Wheel drained; the next rotation re-windows.
-  } else if (when < wheel_origin_) {
-    idx = cursor_;  // Late insert (possible via raw Schedule): pops next.
-  } else {
-    const unsigned __int128 off =
-        static_cast<unsigned __int128>(when - wheel_origin_) / bucket_width_;
-    idx = off < buckets_.size() ? std::max(static_cast<size_t>(off), cursor_)
-                                : buckets_.size();
-  }
-  if (idx >= buckets_.size()) {
-    s.wheel_bucket = kNotInBucket;
-    PushHeap(key, slot);
-    return;
-  }
-  std::vector<HeapEntry>& b = buckets_[idx];
-  s.wheel_bucket = static_cast<uint32_t>(idx);
-  if (idx == cursor_ && cursor_sorted_) {
-    // The cursor bucket is already sorted: keep it so with an ordered insert
-    // over the undrained suffix, fixing the displaced entries' positions.
-    const auto it = std::lower_bound(
-        b.begin() + cursor_pos_, b.end(), key,
-        [](const HeapEntry& e, unsigned __int128 k) { return e.key < k; });
-    const size_t pos = static_cast<size_t>(it - b.begin());
-    b.insert(it, HeapEntry{key, slot});
-    s.heap_pos = static_cast<uint32_t>(pos);
-    for (size_t j = pos + 1; j < b.size(); ++j) {
-      if (b[j].slot != kTombstoneSlot) {
-        slots_[b[j].slot].heap_pos = static_cast<uint32_t>(j);
-      }
-    }
-  } else {
-    s.heap_pos = static_cast<uint32_t>(b.size());
-    b.push_back(HeapEntry{key, slot});
-  }
-  ++wheel_size_;
-}
-
-void EventQueue::RemoveWheelEntry(uint32_t slot) {
-  Slot& s = slots_[slot];
-  std::vector<HeapEntry>& b = buckets_[s.wheel_bucket];
-  const size_t pos = s.heap_pos;
-  if (s.wheel_bucket == cursor_ && cursor_sorted_) {
-    // Keep the sorted bucket's order: tombstone in place (key retained so
-    // binary search over the suffix stays valid); the cursor skips it.
-    b[pos].slot = kTombstoneSlot;
-  } else {
-    // Unsorted buckets never hold tombstones: swap-remove.
-    b[pos] = b.back();
-    b.pop_back();
-    if (pos < b.size()) {
-      slots_[b[pos].slot].heap_pos = static_cast<uint32_t>(pos);
-    }
-  }
-  s.wheel_bucket = kNotInBucket;
-  s.heap_pos = kNotInHeap;
-  --wheel_size_;
-  SettleCursor();
-}
-
-void EventQueue::SettleCursor() {
-  if (wheel_size_ == 0) {
-    if (cursor_ < buckets_.size()) {
-      buckets_[cursor_].clear();  // Drop the consumed/tombstoned tail.
-    }
-    cursor_ = buckets_.size();
-    cursor_pos_ = 0;
-    cursor_sorted_ = false;
-    return;
-  }
-  for (;;) {
-    std::vector<HeapEntry>& b = buckets_[cursor_];
-    if (!cursor_sorted_) {
-      // First touch of this bucket: order it by the full key. Unsorted
-      // buckets hold no tombstones, so every entry gets a position.
-      std::sort(b.begin(), b.end(),
-                [](const HeapEntry& x, const HeapEntry& y) { return x.key < y.key; });
-      for (size_t j = 0; j < b.size(); ++j) {
-        slots_[b[j].slot].heap_pos = static_cast<uint32_t>(j);
-      }
-      cursor_pos_ = 0;
-      cursor_sorted_ = true;
-    }
-    while (cursor_pos_ < b.size() && b[cursor_pos_].slot == kTombstoneSlot) {
-      ++cursor_pos_;
-    }
-    if (cursor_pos_ < b.size()) {
-      return;
-    }
-    // Drained: reclaim the bucket (clear keeps capacity for the next
-    // rotation) and move on — wheel_size_ > 0 guarantees a live entry ahead.
-    b.clear();
-    ++cursor_;
-    cursor_pos_ = 0;
-    cursor_sorted_ = false;
-    assert(cursor_ < buckets_.size());
   }
 }
 

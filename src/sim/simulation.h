@@ -90,14 +90,10 @@ class Simulation {
   size_t pending_events() const { return queue_.size(); }
   size_t event_pool_slots() const { return queue_.slot_count(); }
 
-  // Calendar front-end controls; see EventQueue. The threshold only matters
-  // for dense nodes (default engages at 100k standing events) — benches and
-  // tests lower it to exercise the wheel.
-  void SetCalendarEngageThreshold(size_t threshold) {
-    queue_.set_calendar_engage_threshold(threshold);
-  }
-  bool calendar_engaged() const { return queue_.calendar_engaged(); }
-  uint64_t calendar_engages() const { return queue_.calendar_engages(); }
+  // Always 0: the event queue is a plain heap with no calendar mode. Kept
+  // only because perfbench/ledger.cc's fleet256 verdict and its pinned report
+  // read it; a later benchmark change removes both together.
+  uint64_t calendar_engages() const { return 0; }
 
  private:
   EventQueue queue_;

@@ -953,41 +953,6 @@ TEST(LoadGen, AggregateModeParallelRunIsByteIdenticalToSerial) {
   EXPECT_EQ(run(1), run(4));
 }
 
-// --- Calendar queue under the fleet --------------------------------------
-
-TEST(Cluster, CalendarEngagedFleetRunIsByteIdenticalToHeapOnly) {
-  // Force the calendar on at a tiny threshold and compare a full fleet run
-  // against the heap-only build of the same universe: every metric, flow
-  // sketch and event count must match byte for byte.
-  auto run = [](size_t threshold) {
-    fleet::ClusterConfig cfg = SmallCluster(3, 37);
-    fleet::Cluster cluster(cfg);
-    bool engaged = false;
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      cluster.node(i).sim().SetCalendarEngageThreshold(threshold);
-    }
-    fleet::LoadGenConfig lcfg;
-    lcfg.seed = 37;
-    lcfg.vm_arrival_rate_per_sec = 150.0;
-    fleet::LoadGen load(&cluster, lcfg);
-    load.Start();
-    cluster.RunFor(sim::Millis(60));
-    load.Stop();
-    std::string out = cluster.MergedFlowMonitor(fleet::Cluster::FlowTap::kDp).ToJson(8);
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      out += cluster.observability(i).metrics.Snapshot(cluster.Now()).ToJson();
-      out += std::to_string(cluster.node(i).sim().events_executed());
-      engaged = engaged || cluster.node(i).sim().calendar_engages() > 0;
-    }
-    return std::pair(out, engaged);
-  };
-  auto [calendar_out, calendar_engaged] = run(32);
-  auto [heap_out, heap_engaged] = run(0);
-  EXPECT_TRUE(calendar_engaged);  // The tiny threshold must actually engage.
-  EXPECT_FALSE(heap_engaged);
-  EXPECT_EQ(calendar_out, heap_out);
-}
-
 // --- Runtime enable/disable and rollout ----------------------------------
 
 TEST(RuntimeTaiChi, EnableDisableReenableQuiesces) {

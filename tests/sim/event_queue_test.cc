@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 namespace taichi::sim {
@@ -481,280 +483,134 @@ TEST(EventQueueTest, MoveOnlyCaptureSchedules) {
   EXPECT_EQ(got, 42);
 }
 
-
-// ---- Calendar front-end ------------------------------------------------------
-//
-// Everything below exercises the bucketed calendar that engages above the
-// standing-population threshold. The load-bearing contract: pop order is the
-// exact (time, seq) order the heap produces — the calendar is invisible to
-// every consumer except the profiler.
-
-TEST(CalendarQueueTest, EngagesAtThresholdAndDisengagesWhenDrained) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(256);
-  EXPECT_EQ(q.calendar_engage_threshold(), 256u);
-  for (int i = 0; i < 255; ++i) {
-    q.Schedule(static_cast<SimTime>(1000 + i), [] {});
-  }
-  EXPECT_FALSE(q.calendar_engaged());
-  q.Schedule(2000, [] {});  // The 256th standing event flips it.
-  EXPECT_TRUE(q.calendar_engaged());
-  EXPECT_EQ(q.calendar_engages(), 1u);
-  // Drain below threshold/4 and let the explicit shrink disengage it.
-  while (q.size() > 32) {
-    q.PopNext();
-  }
-  q.ShrinkToFit();
-  EXPECT_FALSE(q.calendar_engaged());
-  // The survivors still pop in exact order.
-  SimTime last = 0;
-  while (!q.empty()) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-  }
-}
-
-TEST(CalendarQueueTest, ZeroThresholdDisablesAndDisengages) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(128);
-  for (int i = 0; i < 512; ++i) {
-    q.Schedule(static_cast<SimTime>(i * 3), [] {});
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  q.set_calendar_engage_threshold(0);  // Heap-only mode: disengages live.
-  EXPECT_FALSE(q.calendar_engaged());
-  SimTime last = 0;
-  size_t popped = 0;
-  while (!q.empty()) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 512u);
-}
-
-TEST(CalendarQueueTest, LoweringThresholdBelowPopulationEngagesImmediately) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(0);
-  for (int i = 0; i < 300; ++i) {
-    q.Schedule(static_cast<SimTime>(i), [] {});
-  }
-  EXPECT_FALSE(q.calendar_engaged());
-  q.set_calendar_engage_threshold(100);
-  EXPECT_TRUE(q.calendar_engaged());
-}
-
-TEST(CalendarQueueTest, EqualTimesKeepInsertionOrderWhileEngaged) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(64);
-  std::vector<int> order;
-  for (int i = 0; i < 500; ++i) {
-    q.Schedule(7, [&order, i] { order.push_back(i); });
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  while (!q.empty()) {
-    q.PopNext().fn();
-  }
-  ASSERT_EQ(order.size(), 500u);
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(CalendarQueueTest, CancelInsideCursorBucketSkipsTombstones) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(64);
-  std::vector<EventId> ids;
-  for (int i = 0; i < 256; ++i) {
-    ids.push_back(q.Schedule(static_cast<SimTime>(10 + i % 4), [] {}));
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  // Pop one so the cursor bucket is sorted, then tombstone entries inside it
-  // (and a spread of entries elsewhere).
-  EXPECT_EQ(q.PopNext().when, 10u);
-  size_t cancelled = 0;
-  for (size_t i = 0; i < ids.size(); i += 3) {
-    if (q.Cancel(ids[i])) {
-      ++cancelled;
-    }
-  }
-  SimTime last = 0;
-  size_t popped = 1;
-  while (!q.empty()) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 256u - cancelled);
-}
-
-TEST(CalendarQueueTest, RepeatingTimersCycleThroughWheelRotations) {
-  // Standing timers whose re-keys land past the current window force
-  // repeated RotateWheel calls; the fire sequence must stay exact.
-  EventQueue q;
-  q.set_calendar_engage_threshold(128);
-  constexpr int kTimers = 256;
-  constexpr SimTime kPeriod = 1000;
-  std::vector<int> hits(kTimers, 0);
-  for (int i = 0; i < kTimers; ++i) {
-    q.ScheduleRepeating(static_cast<SimTime>(1 + i * kPeriod / kTimers), kPeriod,
-                        [&hits, i] { ++hits[static_cast<size_t>(i)]; });
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  SimTime last = 0;
-  for (int pops = 0; pops < kTimers * 50; ++pops) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-    fired.fn();
-    q.RestoreRepeating(fired.id, std::move(fired.fn));
-  }
-  for (int i = 0; i < kTimers; ++i) {
-    EXPECT_EQ(hits[static_cast<size_t>(i)], 50) << "timer " << i;
-  }
-  EXPECT_TRUE(q.calendar_engaged());
-  EXPECT_EQ(q.size(), static_cast<size_t>(kTimers));
-}
-
-TEST(CalendarQueueTest, FarFutureSentinelDoesNotStarveTheWindow) {
-  // One event parked at the far horizon (a deadline sentinel) must not
-  // stretch the bucket width so far that the dense population degenerates
-  // into one bucket.
-  EventQueue q;
-  q.set_calendar_engage_threshold(128);
-  q.Schedule(static_cast<SimTime>(1) << 60, [] {});  // The sentinel.
-  for (int i = 0; i < 1024; ++i) {
-    q.Schedule(static_cast<SimTime>(100 + i), [] {});
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  SimTime last = 0;
-  for (int i = 0; i < 1024; ++i) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-  }
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.PopNext().when, static_cast<SimTime>(1) << 60);
-}
-
-// Randomized mirror harness: every operation lands on a heap-only queue and
-// a calendar-engaging queue; both must pop the identical (when, marker)
-// sequence through engage, rotation, and disengage boundaries.
-class MirrorHarness {
+// Randomized reference model: every operation lands on the queue and on an
+// ordered set of (when, seq, marker) that spells out the ordering rules —
+// each Schedule, ScheduleRepeating and Reschedule takes a fresh sequence
+// number, and a repeating event is re-keyed to (when + period, fresh seq) at
+// pop time. Every pop must agree with the model on time, id and callback.
+class ReferenceModel {
  public:
-  explicit MirrorHarness(size_t threshold) {
-    heap_.set_calendar_engage_threshold(0);
-    cal_.set_calendar_engage_threshold(threshold);
-  }
-
   void Schedule(SimTime when) {
     const int marker = next_marker_++;
-    EventId h = heap_.Schedule(when, [] {});
-    EventId c = cal_.Schedule(when, [] {});
-    live_.push_back({h, c, marker, false});
+    const EventId id = q_.Schedule(when, [this, marker] { fired_marker_ = marker; });
+    Add(id, marker, when, 0);
   }
 
   void ScheduleRepeating(SimTime first, Duration period) {
     const int marker = next_marker_++;
-    EventId h = heap_.ScheduleRepeating(first, period, [] {});
-    EventId c = cal_.ScheduleRepeating(first, period, [] {});
-    live_.push_back({h, c, marker, true});
+    const EventId id =
+        q_.ScheduleRepeating(first, period, [this, marker] { fired_marker_ = marker; });
+    Add(id, marker, first, period);
   }
 
   void CancelAt(size_t idx) {
-    Entry& e = live_[idx % live_.size()];
-    EXPECT_EQ(heap_.Cancel(e.heap_id), cal_.Cancel(e.cal_id));
-    live_[idx % live_.size()] = live_.back();
+    const size_t i = idx % live_.size();
+    EXPECT_TRUE(q_.Cancel(live_[i].id));
+    order_.erase(KeyOf(live_[i]));
+    live_[i] = live_.back();
     live_.pop_back();
   }
 
   void RescheduleAt(size_t idx, SimTime when) {
     Entry& e = live_[idx % live_.size()];
-    EXPECT_EQ(heap_.Reschedule(e.heap_id, when), cal_.Reschedule(e.cal_id, when));
+    EXPECT_TRUE(q_.Reschedule(e.id, when));
+    order_.erase(KeyOf(e));
+    e.when = when;
+    e.seq = next_seq_++;
+    order_.insert(KeyOf(e));
   }
 
-  // Pops one event from both queues and checks they agree on time AND
-  // identity (same marker). Returns false when both are empty.
+  // Pops one event and checks it against the model's minimum. Returns false
+  // when either side is empty.
   bool PopOne() {
-    EXPECT_EQ(heap_.empty(), cal_.empty());
-    EXPECT_EQ(heap_.size(), cal_.size());
-    if (heap_.empty()) {
+    EXPECT_EQ(q_.size(), order_.size());
+    EXPECT_EQ(q_.total_scheduled(), next_seq_ - 1);
+    if (q_.empty() || order_.empty()) {
       return false;
     }
-    EXPECT_EQ(heap_.NextTime(), cal_.NextTime());
-    EventQueue::Fired h = heap_.PopNext();
-    EventQueue::Fired c = cal_.PopNext();
-    EXPECT_EQ(h.when, c.when);
-    EXPECT_EQ(h.repeating, c.repeating);
-    const size_t hi = FindLive(h.id, /*heap=*/true);
-    const size_t ci = FindLive(c.id, /*heap=*/false);
-    EXPECT_EQ(hi, ci) << "queues popped different events at t=" << h.when;
-    if (h.repeating) {
-      heap_.RestoreRepeating(h.id, std::move(h.fn));
-      cal_.RestoreRepeating(c.id, std::move(c.fn));
-    } else if (hi < live_.size() && hi == ci) {
-      live_[hi] = live_.back();
+    const auto [when, seq, marker] = *order_.begin();
+    EXPECT_EQ(q_.NextTime(), when);
+    EventQueue::Fired fired = q_.PopNext();
+    fired_marker_ = -1;
+    fired.fn();
+    EXPECT_EQ(fired.when, when);
+    EXPECT_EQ(fired_marker_, marker) << "popped the wrong event at t=" << when;
+    const size_t i = FindLive(marker);
+    Entry& e = live_[i];
+    EXPECT_EQ(fired.id, e.id);
+    EXPECT_EQ(fired.repeating, e.period > 0);
+    order_.erase(order_.begin());
+    if (e.period > 0) {
+      e.when += e.period;
+      e.seq = next_seq_++;
+      order_.insert(KeyOf(e));
+      q_.RestoreRepeating(fired.id, std::move(fired.fn));
+    } else {
+      live_[i] = live_.back();
       live_.pop_back();
     }
     return true;
   }
 
-  void ShrinkBoth() {
-    heap_.ShrinkToFit();
-    cal_.ShrinkToFit();
-  }
-
-  EventQueue& cal() { return cal_; }
+  EventQueue& queue() { return q_; }
   size_t live_count() const { return live_.size(); }
 
  private:
   struct Entry {
-    EventId heap_id;
-    EventId cal_id;
+    EventId id;
     int marker;
-    bool repeating;
+    SimTime when;
+    uint64_t seq;
+    Duration period;
   };
+  using Key = std::tuple<SimTime, uint64_t, int>;
 
-  size_t FindLive(EventId id, bool heap) const {
+  static Key KeyOf(const Entry& e) { return {e.when, e.seq, e.marker}; }
+
+  void Add(EventId id, int marker, SimTime when, Duration period) {
+    live_.push_back({id, marker, when, next_seq_++, period});
+    order_.insert(KeyOf(live_.back()));
+  }
+
+  size_t FindLive(int marker) const {
     for (size_t i = 0; i < live_.size(); ++i) {
-      if ((heap ? live_[i].heap_id : live_[i].cal_id) == id) {
+      if (live_[i].marker == marker) {
         return i;
       }
     }
-    ADD_FAILURE() << "popped id not in live set";
-    return static_cast<size_t>(-1);
+    ADD_FAILURE() << "model minimum not in live set";
+    return 0;
   }
 
-  EventQueue heap_;
-  EventQueue cal_;
+  EventQueue q_;
+  std::set<Key> order_;
   std::vector<Entry> live_;
+  uint64_t next_seq_ = 1;
   int next_marker_ = 0;
+  int fired_marker_ = -1;
 };
 
-TEST(CalendarQueueTest, RandomChurnMatchesHeapAcrossEngageAndDisengage) {
-  MirrorHarness m(512);
+TEST(EventQueueTest, RandomChurnMatchesReferenceModel) {
+  ReferenceModel m;
   uint64_t seed = 0x5eed;
   auto rnd = [&seed] {
     seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
     return seed >> 16;
   };
-  SimTime now = 0;
 
-  // Phase 1: grow well past the threshold with mixed churn. Times cluster
-  // near `now` with occasional far outliers, so inserts land in the cursor
-  // bucket, later buckets, and the overflow heap.
-  for (int i = 0; i < 4000; ++i) {
+  // Phase 1: grow with mixed churn. Times cluster near the origin with
+  // occasional far outliers, so inserts land both above and below the
+  // current minimum and deep in the heap.
+  // Both loops stop at the first mismatch rather than cascade.
+  for (int i = 0; i < 4000 && !HasFailure(); ++i) {
     const uint64_t r = rnd();
-    const SimTime when = now + 1 + (r % 997) * (r % 31 == 0 ? 1000 : 1);
+    const SimTime when = 1 + (r % 997) * (r % 31 == 0 ? 1000 : 1);
     if (r % 17 == 0 && m.live_count() > 0) {
       m.CancelAt(rnd());
     } else if (r % 23 == 0 && m.live_count() > 0) {
       m.RescheduleAt(rnd(), when);
     } else if (r % 41 == 0) {
-      m.ScheduleRepeating(when - now, 1 + r % 300);
+      m.ScheduleRepeating(when, 1 + r % 300);
     } else {
       m.Schedule(when);
     }
@@ -762,26 +618,32 @@ TEST(CalendarQueueTest, RandomChurnMatchesHeapAcrossEngageAndDisengage) {
       m.PopOne();
     }
   }
-  EXPECT_TRUE(m.cal().calendar_engaged());
-  EXPECT_GE(m.cal().calendar_engages(), 1u);
+  ASSERT_GT(m.live_count(), 2000u);
 
-  // Phase 2: drain with interleaved churn and periodic shrink checks until
-  // both queues are empty. Repeating events are cancelled as encountered so
-  // the drain terminates.
+  // Phase 2: drain with interleaved cancels (the only way repeating events
+  // leave) and a ShrinkToFit every 512 pops, which must not disturb the ids
+  // or order of the survivors.
   int pops = 0;
-  while (m.live_count() > 0 || m.PopOne()) {
-    const uint64_t r = rnd();
-    if (m.live_count() > 0 && r % 3 == 0) {
+  while (m.live_count() > 0 && !HasFailure()) {
+    if (rnd() % 3 == 0) {
       m.CancelAt(rnd());
     }
     if (!m.PopOne()) {
       break;
     }
     if (++pops % 512 == 0) {
-      m.ShrinkBoth();
+      m.queue().ShrinkToFit();
     }
   }
-  EXPECT_FALSE(m.cal().calendar_engaged());  // Drained + shrunk: disengaged.
+  EXPECT_TRUE(m.queue().empty());
+  EXPECT_GT(pops, 2000);
+}
+
+TEST(EventQueueDeathTest, ZeroRepeatPeriodDies) {
+  // A zero period would make a standing timer fire once and vanish: a model
+  // bug, reported via TAICHI_ERROR + assert.
+  EventQueue q;
+  EXPECT_DEATH(q.ScheduleRepeating(10, 0, [] {}), "zero period");
 }
 
 TEST(EventQueueTest, StressManyEventsStayOrdered) {
