@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -98,6 +99,18 @@ T ParseFlag(const char* flag, const char* text, T lo = std::numeric_limits<T>::l
     std::exit(2);
   }
   return value;
+}
+
+// The process's peak resident set (VmHWM) in MB; 0 where /proc is absent.
+inline double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0;
 }
 
 // Machine-readable bench output. Every harness constructs one of these with

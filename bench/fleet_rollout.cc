@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -160,18 +159,6 @@ int RunAutopilot(int argc, char** argv, int threads) {
                         autopilot.enabled_vcpus() < static_vcpus;
   std::printf("\n%s: the autopilot converges the fleet under the SLO on fewer vCPUs\n",
               shape_ok ? "PASS" : "SHAPE MISMATCH");
-  return 0;
-}
-
-// The process's peak resident set (VmHWM) in MB; 0 where /proc is absent.
-double PeakRssMb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
-    }
-  }
   return 0;
 }
 
@@ -481,7 +468,7 @@ int main(int argc, char** argv) {
     perf.Config("hw_cores", static_cast<int64_t>(std::thread::hardware_concurrency()));
     perf.Metric("wall_ms", wall_ms);
     perf.Metric("sim_ms", sim::ToSeconds(cluster.Now()) * 1e3);
-    perf.Metric("peak_rss_mb", PeakRssMb());
+    perf.Metric("peak_rss_mb", bench::PeakRssMb());
     if (!perf.Write()) {
       return 1;
     }

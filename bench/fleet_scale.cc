@@ -12,8 +12,13 @@
 // `--json <path>` is the deterministic report (per-point event totals,
 // per-node min/max, merged-sketch distinct flows): byte-identical across
 // `--threads` values, which CI enforces with a t1 vs t4 `cmp`. Wall-clock
-// numbers (events/sec, per-node rate ratios) go to the `--perf-json`
-// sidecar only.
+// numbers (events/sec, per-node rate ratios, peak RSS) go to the
+// `--perf-json` sidecar only.
+//
+// The scaling gate compares every sweep point with a 12-node reference run
+// made first in the same process and kept out of `--json`, so a single
+// `--nodes N` run is gated too: the binary exits 1 if any point costs more
+// than 2x the reference's wall time per event.
 //
 // Default sweep is {12, 256, 1024}; `--full` extends to {4096, 10240};
 // `--nodes N` pins a single point. An unknown flag is a usage error (exit
@@ -34,6 +39,10 @@ using namespace taichi;
 
 namespace {
 
+// Fleet size of the reference run every sweep point is gated against: the
+// paper's testbed.
+constexpr int kReferenceNodes = 12;
+
 struct Options {
   std::vector<int> nodes = {12, 256, 1024};
   int threads = 1;
@@ -53,6 +62,11 @@ struct PointResult {
   double distinct_flows = 0;     // Merged RX HLL estimate.
   double aggregate_pps = 0;      // Offered fleet packets/sec.
   double wall_ms = 0;            // Host-dependent; perf sidecar only.
+
+  // Simulated events per wall-clock second.
+  double rate() const {
+    return wall_ms > 0 ? static_cast<double>(events_total) / (wall_ms * 1e-3) : 0;
+  }
 };
 
 PointResult RunPoint(const Options& opt, int nodes) {
@@ -153,6 +167,12 @@ int main(int argc, char** argv) {
     opt.nodes = {12, 256, 1024, 4096, 10240};
   }
 
+  std::printf("running the %d-node reference (%.0f ms sim, %d threads)...\n", kReferenceNodes,
+              opt.duration_ms, opt.threads);
+  std::fflush(stdout);
+  const PointResult ref = RunPoint(opt, kReferenceNodes);
+  const double ref_rate = ref.rate();
+
   std::vector<PointResult> points;
   points.reserve(opt.nodes.size());
   for (int n : opt.nodes) {
@@ -166,23 +186,16 @@ int main(int argc, char** argv) {
   // grows linearly with the fleet, so flat events/sec (equivalently flat
   // us/event) means the simulator is linear in node count — per-node wall
   // rate divided by N would collapse by construction on fixed hardware.
-  const PointResult& base = points.front();
-  const double base_rate =
-      base.wall_ms > 0
-          ? static_cast<double>(base.events_total) / (base.wall_ms * 1e-3)
-          : 0;
-
   sim::Table t({"Nodes", "Events", "Ev/node min..max", "Flows (cfg)", "Flows (HLL)",
-                "Wall (ms)", "Mev/s", "us/event", "vs base"});
+                "Wall (ms)", "Mev/s", "us/event", "vs ref"});
   for (const PointResult& p : points) {
-    const double rate =
-        p.wall_ms > 0 ? static_cast<double>(p.events_total) / (p.wall_ms * 1e-3) : 0;
+    const double rate = p.rate();
     t.AddRow({std::to_string(p.nodes), std::to_string(p.events_total),
               std::to_string(p.events_min) + ".." + std::to_string(p.events_max),
               std::to_string(p.aggregate_flows), sim::Table::Num(p.distinct_flows, 0),
               sim::Table::Num(p.wall_ms, 0), sim::Table::Num(rate / 1e6, 2),
               sim::Table::Num(rate > 0 ? 1e6 / rate : 0, 3),
-              base_rate > 0 ? sim::Table::Num(rate / base_rate, 2) + "x" : "-"});
+              ref_rate > 0 ? sim::Table::Num(rate / ref_rate, 2) + "x" : "-"});
   }
   t.Print();
 
@@ -212,31 +225,33 @@ int main(int argc, char** argv) {
     bench::JsonReport perf("fleet_scale_perf", opt.perf_json_path);
     perf.Config("threads", static_cast<int64_t>(opt.threads));
     perf.Config("hw_cores", static_cast<int64_t>(std::thread::hardware_concurrency()));
+    perf.Config("reference_nodes", static_cast<int64_t>(kReferenceNodes));
+    perf.Metric("reference.wall_ms", ref.wall_ms);
+    perf.Metric("reference.us_per_event", ref_rate > 0 ? 1e6 / ref_rate : 0);
     for (const PointResult& p : points) {
       const std::string k = "n" + std::to_string(p.nodes) + ".";
-      const double rate =
-          p.wall_ms > 0 ? static_cast<double>(p.events_total) / (p.wall_ms * 1e-3) : 0;
+      const double rate = p.rate();
       perf.Metric(k + "wall_ms", p.wall_ms);
       perf.Metric(k + "events_per_sec", rate);
       perf.Metric(k + "us_per_event", rate > 0 ? 1e6 / rate : 0);
-      perf.Metric(k + "rate_vs_base", base_rate > 0 ? rate / base_rate : 0);
+      perf.Metric(k + "rate_vs_reference", ref_rate > 0 ? rate / ref_rate : 0);
     }
+    perf.Metric("peak_rss_mb", bench::PeakRssMb());
     if (!perf.Write()) {
       return 1;
     }
   }
 
   // The acceptance shape: every sweep point keeps its per-event wall cost
-  // within 2x of the smallest fleet's.
+  // within 2x of the reference run's.
   bool shape_ok = true;
   for (const PointResult& p : points) {
-    const double rate =
-        p.wall_ms > 0 ? static_cast<double>(p.events_total) / (p.wall_ms * 1e-3) : 0;
-    if (base_rate > 0 && rate * 2 < base_rate) {
+    if (ref_rate > 0 && p.rate() * 2 < ref_rate) {
       shape_ok = false;
     }
   }
-  std::printf("\n%s: per-event wall cost holds within 2x of the %d-node baseline\n",
-              shape_ok ? "PASS" : "SHAPE MISMATCH", base.nodes);
+  std::printf("\n%s: per-event wall cost within 2x of the %d-node reference (%.3f us/event)\n",
+              shape_ok ? "PASS" : "SHAPE MISMATCH", kReferenceNodes,
+              ref_rate > 0 ? 1e6 / ref_rate : 0);
   return shape_ok ? 0 : 1;
 }

@@ -6,18 +6,17 @@
 // Tai Chi absorb the storm.
 //
 //   $ ./examples/vm_startup_storm [num_vms] [density]
+//
+// Both counts must be whole positive numbers: "4x" is a usage error (exit 2).
 #include <cstdio>
-#include <cstdlib>
 
-#include "src/exp/runners.h"
-#include "src/exp/testbed.h"
-#include "src/sim/table.h"
+#include "bench/common.h"
 
 using namespace taichi;
 
 int main(int argc, char** argv) {
-  int num_vms = argc > 1 ? std::atoi(argv[1]) : 40;
-  int density = argc > 2 ? std::atoi(argv[2]) : 4;
+  const int num_vms = argc > 1 ? bench::ParseFlag<int>("num_vms", argv[1], 1) : 40;
+  const int density = argc > 2 ? bench::ParseFlag<int>("density", argv[2], 1) : 4;
   std::printf("VM startup storm: %d VMs at %dx instance density\n\n", num_vms, density);
 
   sim::Table t({"Mode", "avg (ms)", "p99 (ms)", "max (ms)", "vCPU switches"});

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "src/sim/logging.h"
@@ -13,13 +14,15 @@ namespace taichi::sim {
 namespace {
 
 // Pending samples folded into the table per batch: large enough to hide the
-// table's cache misses behind prefetches, small enough (2 KiB) to stay cheap
+// table's cache misses behind prefetches, small enough (512 B) to stay cheap
 // on the thousands of summaries a fleet registers.
-constexpr size_t kPendingCap = 256;
+constexpr size_t kPendingCap = 64;
 // Table slots prefetched ahead of the insert that needs them.
 constexpr size_t kPrefetchAhead = 16;
 // First table size: one Grow() fewer for every summary that sees traffic.
 constexpr size_t kInitialSlots = 64;
+// First overflow side-table size.
+constexpr size_t kInitialOverflow = 8;
 
 uint64_t KeyBits(double value) {
   // -0.0 and +0.0 are one value to every order statistic; key them alike.
@@ -35,6 +38,14 @@ uint64_t HashBits(uint64_t bits) {
 }
 
 }  // namespace
+
+uint64_t Summary::Slot::bits() const {
+  uint64_t bits;
+  std::memcpy(&bits, key, sizeof(bits));
+  return bits;
+}
+
+void Summary::Slot::set_bits(uint64_t bits) { std::memcpy(key, &bits, sizeof(bits)); }
 
 void Summary::Add(double sample) {
   if (std::isnan(sample)) {
@@ -99,7 +110,8 @@ void Summary::Merge(const Summary& other) {
   Absorb(other.count_, other.running_mean_, other.m2_, other.sum_, other.min_, other.max_);
   for (const Slot& slot : other.table_) {
     if (slot.count != 0) {
-      Insert(slot.bits, HashBits(slot.bits), slot.count);
+      const uint64_t bits = slot.bits();
+      Insert(bits, HashBits(bits), other.CountOf(slot));
     }
   }
   for (double v : other.pending_) {
@@ -116,22 +128,74 @@ void Summary::Insert(uint64_t bits, uint64_t hash, uint64_t count) const {
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     Slot& slot = table_[i];
     if (slot.count == 0) {
-      slot = {bits, count};
+      slot.set_bits(bits);
+      AddToSlot(slot, count);
       // Grow past 3/4 occupancy so probe chains stay short.
       if (++distinct_ * 4 > table_.size() * 3) {
         Grow();
       }
       return;
     }
-    if (slot.bits == bits) {
-      slot.count += count;
+    if (slot.bits() == bits) {
+      AddToSlot(slot, count);
       return;
     }
   }
 }
 
+void Summary::AddToSlot(Slot& slot, uint64_t count) const {
+  if (slot.count == kOverflow) {
+    OverflowCount(slot.bits()) += count;
+    return;
+  }
+  const uint64_t total = slot.count + count;
+  if (total < kOverflow) {
+    slot.count = static_cast<uint8_t>(total);
+    return;
+  }
+  slot.count = kOverflow;
+  OverflowCount(slot.bits()) = total;
+}
+
+size_t Summary::OverflowSlot(uint64_t bits) const {
+  const size_t mask = overflow_.size() - 1;
+  size_t i = HashBits(bits) & mask;
+  while (overflow_[i].count != 0 && overflow_[i].bits != bits) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+uint64_t Summary::CountOf(const Slot& slot) const {
+  return slot.count == kOverflow ? overflow_[OverflowSlot(slot.bits())].count : slot.count;
+}
+
+uint64_t& Summary::OverflowCount(uint64_t bits) const {
+  if (overflow_.empty()) {
+    overflow_.resize(kInitialOverflow);
+  }
+  size_t i = OverflowSlot(bits);
+  if (overflow_[i].count == 0) {
+    // A new entry (the caller stores a count of at least kOverflow): grow
+    // past 3/4 occupancy, as the value table does.
+    if ((overflowed_ + 1) * 4 > overflow_.size() * 3) {
+      std::vector<Overflow> old(overflow_.size() * 2, Overflow{0, 0});
+      old.swap(overflow_);
+      for (const Overflow& e : old) {
+        if (e.count != 0) {
+          overflow_[OverflowSlot(e.bits)] = e;
+        }
+      }
+      i = OverflowSlot(bits);
+    }
+    overflow_[i].bits = bits;
+    ++overflowed_;
+  }
+  return overflow_[i].count;
+}
+
 void Summary::Grow() const {
-  std::vector<Slot> old(table_.size() * 2, Slot{0, 0});
+  std::vector<Slot> old(table_.size() * 2, Slot{});
   old.swap(table_);
   const size_t mask = table_.size() - 1;
   // The re-placement writes land at random: hash a chunk of old slots and
@@ -141,7 +205,7 @@ void Summary::Grow() const {
   for (size_t base = 0; base < old.size(); base += kChunk) {
     const size_t end = std::min(base + kChunk, old.size());
     for (size_t i = base; i < end; ++i) {
-      home[i - base] = HashBits(old[i].bits) & mask;
+      home[i - base] = HashBits(old[i].bits()) & mask;
       __builtin_prefetch(&table_[home[i - base]], 1);
     }
     for (size_t i = base; i < end; ++i) {
@@ -193,17 +257,11 @@ void Summary::EnsureSorted() const {
   sorted_.reserve(distinct_);
   for (const Slot& slot : table_) {
     if (slot.count != 0) {
-      sorted_.push_back({std::bit_cast<double>(slot.bits), slot.count});
+      sorted_.push_back({std::bit_cast<double>(slot.bits()), CountOf(slot)});
     }
   }
   std::sort(sorted_.begin(), sorted_.end(),
             [](const ValueCount& a, const ValueCount& b) { return a.value < b.value; });
-  cum_.resize(sorted_.size());
-  uint64_t running = 0;
-  for (size_t i = 0; i < sorted_.size(); ++i) {
-    running += sorted_[i].count;
-    cum_[i] = running;
-  }
   sorted_valid_ = true;
 }
 
@@ -254,26 +312,35 @@ double Summary::Percentile(double p) const {
   if (count_ == 1) {
     return min_;
   }
-  // The order statistic at rank k of the fully sorted samples is the first
-  // distinct value whose running count exceeds k.
-  auto at_rank = [this](size_t k) {
-    const size_t i = static_cast<size_t>(std::upper_bound(cum_.begin(), cum_.end(), k) -
-                                         cum_.begin());
-    return sorted_[i].value;
-  };
   double rank = p / 100.0 * static_cast<double>(count_ - 1);
   size_t lo = static_cast<size_t>(rank);
   size_t hi = std::min(lo + 1, count_ - 1);
   double frac = rank - static_cast<double>(lo);
-  return at_rank(lo) * (1.0 - frac) + at_rank(hi) * frac;
+  // The order statistic at rank k of the fully sorted samples is the first
+  // distinct value whose running count exceeds k. lo and hi are adjacent
+  // ranks, so one walk finds both.
+  size_t i = 0;
+  uint64_t running = sorted_[0].count;
+  while (running <= lo) {
+    running += sorted_[++i].count;
+  }
+  const double at_lo = sorted_[i].value;
+  while (running <= hi) {
+    running += sorted_[++i].count;
+  }
+  return at_lo * (1.0 - frac) + sorted_[i].value * frac;
 }
 
 uint64_t Summary::CountAtMost(double x) const {
   EnsureSorted();
-  const auto it = std::upper_bound(
-      sorted_.begin(), sorted_.end(), x,
-      [](double v, const ValueCount& vc) { return v < vc.value; });
-  return it == sorted_.begin() ? 0 : cum_[static_cast<size_t>(it - sorted_.begin()) - 1];
+  uint64_t n = 0;
+  for (const ValueCount& vc : sorted_) {
+    if (x < vc.value) {
+      break;
+    }
+    n += vc.count;
+  }
+  return n;
 }
 
 bool Summary::Covers(const std::vector<ValueCount>& snapshot) const {
@@ -314,16 +381,17 @@ void Summary::Clear() {
   count_ = 0;
   sum_ = min_ = max_ = running_mean_ = m2_ = 0;
   pending_.clear();
-  std::fill(table_.begin(), table_.end(), Slot{0, 0});
+  std::fill(table_.begin(), table_.end(), Slot{});
   distinct_ = 0;
+  std::fill(overflow_.begin(), overflow_.end(), Overflow{0, 0});
+  overflowed_ = 0;
   sorted_.clear();
-  cum_.clear();
   sorted_valid_ = true;
 }
 
 size_t Summary::heap_bytes() const {
   return pending_.capacity() * sizeof(double) + table_.capacity() * sizeof(Slot) +
-         sorted_.capacity() * sizeof(ValueCount) + cum_.capacity() * sizeof(uint64_t);
+         overflow_.capacity() * sizeof(Overflow) + sorted_.capacity() * sizeof(ValueCount);
 }
 
 Histogram::Histogram(double lo, double hi, size_t bins)

@@ -16,13 +16,16 @@ namespace taichi::sim {
 // distinct values than samples, and the ratio grows with simulated time.
 //
 // Storage is exact. Each distinct value (keyed by its bit pattern) carries a
-// sample count in an open-addressed table; Add() appends to a small pending
-// buffer that is folded into the table in batches, which keeps the per-sample
-// cost at a vector push. Percentiles are answered from the distinct values
-// sorted once per query batch with running counts, so every order statistic
-// (and its interpolation) equals the one a fully sorted sample vector gives.
-// sum/min/max and the Welford moments are kept in insertion order, so they
-// are bit-identical to a per-sample computation. NaN is rejected.
+// sample count in an open-addressed table of 9-byte slots: the bit pattern
+// and a saturating one-byte count. Most latency values occur a few times, so
+// a count that reaches 255 moves to a small side table keyed by the same
+// bits. Add() appends to a small pending buffer that is folded into the table
+// in batches, which keeps the per-sample cost at a vector push. Percentiles
+// are answered from the distinct values sorted once per query batch, so every
+// order statistic (and its interpolation) equals the one a fully sorted
+// sample vector gives. sum/min/max and the Welford moments are kept in
+// insertion order, so they are bit-identical to a per-sample computation.
+// NaN is rejected.
 class Summary {
  public:
   // One distinct sample value and how many samples carried it.
@@ -66,14 +69,29 @@ class Summary {
   // number of distinct values does not allocate.
   void Clear();
 
-  // Heap bytes held: pending buffer, value table and sorted view. Grows with
+  // Heap bytes held: pending buffer, value tables and sorted view. Grows with
   // the number of distinct values, not with the number of samples.
   size_t heap_bytes() const;
 
  private:
+  // A count of kOverflow in a slot means the exact count is in overflow_.
+  static constexpr uint8_t kOverflow = 255;
+
+  // One value-table slot, packed to 9 bytes. The bit pattern is kept as raw
+  // bytes and read or written with memcpy, so no reference or pointer ever
+  // binds to an unaligned 64-bit member.
   struct Slot {
+    unsigned char key[8];
+    uint8_t count;  // 0 marks a free slot.
+
+    uint64_t bits() const;
+    void set_bits(uint64_t bits);
+  };
+  static_assert(sizeof(Slot) == 9, "value-table slots are packed to 9 bytes");
+  // Side-table entry for a value seen kOverflow or more times.
+  struct Overflow {
     uint64_t bits;
-    uint64_t count;  // 0 marks a free slot.
+    uint64_t count;  // 0 marks a free entry.
   };
 
   // Folds a part with the given moments into the running statistics.
@@ -81,6 +99,13 @@ class Summary {
   void AddCount(double value, uint64_t count);
   void FoldPending() const;
   void Insert(uint64_t bits, uint64_t hash, uint64_t count) const;
+  void AddToSlot(Slot& slot, uint64_t count) const;
+  uint64_t CountOf(const Slot& slot) const;
+  // Index in overflow_ of `bits`' entry, or of the free entry that ends its
+  // probe chain.
+  size_t OverflowSlot(uint64_t bits) const;
+  // The overflow count of `bits`, inserted as 0 if absent.
+  uint64_t& OverflowCount(uint64_t bits) const;
   void Grow() const;
   void EnsureSorted() const;
 
@@ -99,10 +124,12 @@ class Summary {
   // Open-addressed, linear probing, power-of-two size.
   mutable std::vector<Slot> table_;
   mutable size_t distinct_ = 0;
-  // Sorted view: distinct values ascending and the inclusive running count
-  // through each one.
+  // Exact counts of the values whose slot reads kOverflow; open-addressed
+  // like table_ and, like it, keeps its capacity across Clear().
+  mutable std::vector<Overflow> overflow_;
+  mutable size_t overflowed_ = 0;
+  // Sorted view: distinct values ascending with their counts.
   mutable std::vector<ValueCount> sorted_;
-  mutable std::vector<uint64_t> cum_;
   mutable bool sorted_valid_ = true;
 };
 

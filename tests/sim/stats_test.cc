@@ -3,13 +3,44 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "src/sim/logging.h"
 #include "src/sim/random.h"
+
+// Heap allocations made by this test binary, so a test can check that a code
+// path allocates nothing. Every replaceable form that pairs with free() is
+// replaced, so sanitizer runtimes never see a mismatched new/delete.
+static std::atomic<uint64_t> g_allocations{0};
+
+// GCC cannot tell that these deletes pair with the mallocs below.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+static void* CountedAlloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(std::size_t n) {
+  if (void* p = CountedAlloc(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace taichi::sim {
 namespace {
@@ -275,6 +306,198 @@ TEST(SummaryOracle, WindowDeltaMatchesSuffix) {
   // everything.
   EXPECT_TRUE(s.Since(s.Counts()).empty());
   ExpectMatchesOracle(s.Since({}), samples);
+}
+
+// --- Counts past one byte ---------------------------------------------------
+
+// A table slot holds a one-byte count; a value seen 255 or more times keeps
+// its exact count in a side table. These counts straddle that boundary.
+constexpr uint64_t kCrossings[] = {1, 254, 255, 256, 1000000};
+
+// `n` copies of 5.0 between two 1.0s and two 9.0s.
+Summary Repeated(uint64_t n) {
+  Summary s;
+  s.Add(1.0);
+  s.Add(9.0);
+  for (uint64_t i = 0; i < n; ++i) {
+    s.Add(5.0);
+  }
+  s.Add(1.0);
+  s.Add(9.0);
+  return s;
+}
+
+// The multiset of `s` is exactly `want`, and every query agrees with it.
+void ExpectCounts(const Summary& s, const std::vector<Summary::ValueCount>& want) {
+  const std::vector<Summary::ValueCount>& got = s.Counts();
+  ASSERT_EQ(got.size(), want.size());
+  uint64_t running = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].value, want[i].value) << i;
+    EXPECT_EQ(got[i].count, want[i].count) << "value " << want[i].value;
+    running += want[i].count;
+    EXPECT_EQ(s.CountAtMost(want[i].value), running);
+  }
+  EXPECT_EQ(s.count(), running);
+  // Percentiles: the interpolated order statistics of the multiset.
+  auto at_rank = [&want](uint64_t k) {
+    size_t i = 0;
+    uint64_t through = want[0].count;
+    while (through <= k) {
+      through += want[++i].count;
+    }
+    return want[i].value;
+  };
+  for (double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+    const double rank = p / 100.0 * static_cast<double>(running - 1);
+    const uint64_t lo = static_cast<uint64_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    const double expect =
+        at_rank(lo) * (1.0 - frac) + at_rank(std::min(lo + 1, running - 1)) * frac;
+    EXPECT_EQ(s.Percentile(p), expect) << "p" << p;
+  }
+}
+
+TEST(SummaryCounts, AddAcrossTheByteBoundary) {
+  for (uint64_t n : kCrossings) {
+    SCOPED_TRACE(n);
+    const Summary s = Repeated(n);
+    ExpectCounts(s, {{1.0, 2}, {5.0, n}, {9.0, 2}});
+    if (n < 1000) {
+      std::vector<double> samples = {1.0, 9.0, 1.0, 9.0};
+      samples.insert(samples.end(), n, 5.0);
+      ExpectMatchesOracle(s, samples);
+    }
+  }
+}
+
+TEST(SummaryCounts, MergeAcrossTheByteBoundary) {
+  // Every pairing: inline + inline (below and across 255), inline +
+  // overflow, overflow + inline and overflow + overflow; each with the other
+  // side still pending and folded by a query, and into an empty summary.
+  std::vector<Summary> parts;
+  for (uint64_t n : kCrossings) {
+    parts.push_back(Repeated(n));
+  }
+  for (size_t a = 0; a < parts.size(); ++a) {
+    for (size_t b = 0; b < parts.size(); ++b) {
+      for (bool folded : {false, true}) {
+        SCOPED_TRACE(std::to_string(kCrossings[a]) + " + " + std::to_string(kCrossings[b]));
+        Summary other = parts[b];
+        if (folded) {
+          other.Percentile(50);
+        }
+        Summary merged = parts[a];
+        merged.Merge(other);
+        ExpectCounts(merged, {{1.0, 4}, {5.0, kCrossings[a] + kCrossings[b]}, {9.0, 4}});
+      }
+    }
+    Summary empty;
+    empty.Merge(parts[a]);
+    ExpectCounts(empty, {{1.0, 2}, {5.0, kCrossings[a]}, {9.0, 2}});
+  }
+}
+
+TEST(SummaryCounts, SinceAndCoversAcrossTheByteBoundary) {
+  // Since() rebuilds the window by adding whole counts at once.
+  for (uint64_t before : kCrossings) {
+    for (uint64_t after : kCrossings) {
+      if (after < before) {
+        continue;
+      }
+      SCOPED_TRACE(std::to_string(before) + " -> " + std::to_string(after));
+      Summary s;
+      s.Add(1.0);
+      for (uint64_t i = 0; i < before; ++i) {
+        s.Add(5.0);
+      }
+      const std::vector<Summary::ValueCount> snapshot = s.Counts();
+      for (uint64_t i = before; i < after; ++i) {
+        s.Add(5.0);
+      }
+      s.Add(9.0);
+      ASSERT_TRUE(s.Covers(snapshot));
+      if (after == before) {
+        ExpectCounts(s.Since(snapshot), {{9.0, 1}});
+      } else {
+        ExpectCounts(s.Since(snapshot), {{5.0, after - before}, {9.0, 1}});
+      }
+      ExpectCounts(s.Since({}), {{1.0, 1}, {5.0, after}, {9.0, 1}});
+      // One sample more than this summary holds is not covered.
+      EXPECT_TRUE(s.Covers({{5.0, after}}));
+      EXPECT_FALSE(s.Covers({{5.0, after + 1}}));
+    }
+  }
+}
+
+TEST(SummaryCounts, ClearThenSameRefillAllocatesNothing) {
+  // 2,000 distinct values, 40 of them seen 300 times: both tables grow.
+  auto fill = [](Summary& s) {
+    for (int i = 0; i < 2000; ++i) {
+      const int repeats = i % 50 == 0 ? 300 : 1 + i % 3;
+      for (int r = 0; r < repeats; ++r) {
+        s.Add(i * 0.5);
+      }
+    }
+    return s.Percentile(99);
+  };
+  Summary s;
+  const double p99 = fill(s);
+  const size_t bytes = s.heap_bytes();
+  s.Clear();
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const double refilled_p99 = fill(s);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(s.heap_bytes(), bytes);
+  EXPECT_EQ(refilled_p99, p99);
+  EXPECT_EQ(s.Counts()[100].count, 300u);
+}
+
+TEST(SummaryOracle, RandomizedRepeatsAcrossTheByteBoundaryWithSignedZeros) {
+  // A handful of values, ±0.0 among them, so most counts pass 255; parts
+  // are merged and windowed, and every answer must match the sorted samples.
+  Rng rng(31);
+  const double values[] = {-0.0, 0.0, -1.5, 2.25, 1e-9, 7.0, 7.0 + 1e-12};
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<double> all;
+    Summary merged;
+    std::vector<Summary::ValueCount> snapshot;
+    size_t cut = 0;
+    for (int part = 0; part < 3; ++part) {
+      const size_t n = 1 + rng.Next() % 3000;
+      const size_t distinct = 1 + rng.Next() % std::size(values);
+      Summary s;
+      for (size_t i = 0; i < n; ++i) {
+        const double v = values[rng.Next() % distinct];
+        s.Add(v);
+        all.push_back(v);
+      }
+      merged.Merge(s);
+      if (part == 0) {
+        snapshot = merged.Counts();
+        cut = all.size();
+      }
+    }
+    ExpectMatchesOracle(merged, all);
+    // Counts() keys +0.0 and -0.0 alike.
+    for (const Summary::ValueCount& vc : merged.Counts()) {
+      EXPECT_FALSE(std::signbit(vc.value) && vc.value == 0.0);
+    }
+    ExpectMatchesOracle(merged.Since({}), all);
+    const std::vector<double> suffix(all.begin() + static_cast<std::ptrdiff_t>(cut), all.end());
+    ExpectMatchesOracle(merged.Since(snapshot), suffix);
+  }
+}
+
+// A regression gate on the slot size: 100,000 distinct values need 2^18
+// slots at 3/4 load, 2.36 MB at 9 bytes each and 4.2 MB at 16.
+TEST(SummaryMemory, HundredThousandDistinctValuesFitInTwoAndAHalfMiB) {
+  Summary s;
+  for (int i = 0; i < 100000; ++i) {
+    s.Add(i * 0.001);
+  }
+  EXPECT_EQ(s.count(), 100000u);
+  EXPECT_LE(s.heap_bytes(), size_t{5} << 19);
 }
 
 // --- Misuse fails loudly ----------------------------------------------------
